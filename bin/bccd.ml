@@ -164,6 +164,13 @@ let log_level_arg =
     & info [ "log-level" ] ~docv:"LEVEL"
         ~doc:"Stderr log verbosity: $(b,debug), $(b,info), $(b,warning) or $(b,error).")
 
+(* Status lines are best effort: a supervisor may stop reading stdout,
+   and with SIGPIPE ignored the write then fails.  Unbuffered, so no
+   unwritable bytes are left for the flush at exit. *)
+let say fmt =
+  let write s = ignore (Unix.write_substring Unix.stdout s 0 (String.length s)) in
+  Printf.ksprintf (fun s -> try write s with Unix.Unix_error _ -> ()) fmt
+
 let run host port workers queue_depth cache_entries timeout preload trace_spans state_dir
     event_log debug_dir sched_concurrency tenant_depth tenant_weights curve_cache_mb
     route_to hedge_delay_ms level =
@@ -173,7 +180,7 @@ let run host port workers queue_depth cache_entries timeout preload trace_spans 
   (match Bcc_robust.Fault.load_env () with
   | () ->
       if Bcc_robust.Fault.enabled () then
-        Printf.printf "bccd: armed faults: %s\n%!" (Bcc_robust.Fault.summary ())
+        say "bccd: armed faults: %s\n" (Bcc_robust.Fault.summary ())
   | exception Failure msg -> prerr_endline ("bccd: " ^ msg); exit 2);
   let ring =
     match route_to with
@@ -231,7 +238,7 @@ let run host port workers queue_depth cache_entries timeout preload trace_spans 
           in
           Bcc_cluster.Router.start_probes r;
           router := Some r;
-          Printf.printf "bccd: routing to %d shards: %s\n%!"
+          say "bccd: routing to %d shards: %s\n"
             (Bcc_cluster.Ring.size ring)
             (String.concat ", "
                (List.map Bcc_cluster.Ring.node_id (Bcc_cluster.Ring.nodes ring)))
@@ -240,26 +247,26 @@ let run host port workers queue_depth cache_entries timeout preload trace_spans 
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       List.iter
-        (fun (name, _) -> Printf.printf "bccd: loaded instance %s\n%!" name)
+        (fun (name, _) -> say "bccd: loaded instance %s\n" name)
         preload;
       (match state_dir with
       | Some dir ->
           let infos = Bcc_server.Server.store srv |> Bcc_store.Store.list in
-          Printf.printf "bccd: recovered %d workloads from %s in %.3fs\n%!"
+          say "bccd: recovered %d workloads from %s in %.3fs\n"
             (List.length infos) dir
             (Bcc_store.Store.replay_seconds (Server.store srv));
           List.iter
             (fun (i : Bcc_store.Store.info) ->
-              Printf.printf "bccd: workload %s at epoch %d (%d queries)\n%!"
+              say "bccd: workload %s at epoch %d (%d queries)\n"
                 i.Bcc_store.Store.name i.Bcc_store.Store.epoch
                 i.Bcc_store.Store.num_queries)
             infos
       | None -> ());
-      Printf.printf "bccd: listening on %s:%d (%d workers, queue %d, cache %d, timeout %gs)\n%!"
+      say "bccd: listening on %s:%d (%d workers, queue %d, cache %d, timeout %gs)\n"
         host (Server.port srv) (Server.num_workers srv) queue_depth cache_entries timeout;
       Server.run srv;
       (match !router with Some r -> Bcc_cluster.Router.stop r | None -> ());
-      Printf.printf "bccd: shutdown complete\n%!";
+      say "bccd: shutdown complete\n";
       `Ok ()
 
 let cmd =

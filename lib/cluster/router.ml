@@ -18,6 +18,7 @@
 
 module Http = Bcc_server.Http
 module Json = Bcc_server.Json
+module Request = Bcc_server.Request
 module Metrics = Bcc_server.Metrics
 module Fault = Bcc_robust.Fault
 module Admission = Bcc_sched.Admission
@@ -152,40 +153,6 @@ let ring t = t.ring
 let client t = t.client
 let admission t = t.admission
 
-(* --- request classification --- *)
-
-type route =
-  | Local  (* health, metrics, debug: every node answers for itself *)
-  | Stateless of string  (* deterministic compute: any shard can serve *)
-  | Sticky_read of string  (* store read: only the owner has the state *)
-  | Mutation of string  (* store write: owner only, never failed over *)
-  | Scatter  (* GET /workloads: union over every up shard *)
-
-let routing_key_of_body body =
-  let b = String.trim body in
-  if b <> "" && b.[0] = '{' then
-    match Json.of_string b with
-    | Ok j -> (
-        match Option.bind (Json.member "instance" j) Json.get_string with
-        | Some name -> "n:" ^ name
-        | None -> "i:" ^ Digest.to_hex (Digest.string body))
-    | Error _ -> "i:" ^ Digest.to_hex (Digest.string body)
-  else "i:" ^ Digest.to_hex (Digest.string body)
-
-let classify (req : Http.request) =
-  match (req.Http.meth, String.split_on_char '/' req.Http.path) with
-  | "POST", [ ""; ("solve" | "gmc3" | "ecc") ] ->
-      Stateless (routing_key_of_body req.Http.body)
-  | "GET", [ ""; "instances" ] -> Stateless "n:/instances"
-  | "GET", [ ""; "workloads" ] -> Scatter
-  | "GET", [ ""; "workloads"; name ] when name <> "" -> Sticky_read name
-  | "GET", [ ""; "workloads"; name; "solution" ] when name <> "" ->
-      Sticky_read name
-  | "PUT", [ ""; "workloads"; name ] when name <> "" -> Mutation name
-  | "POST", [ ""; "workloads"; name; ("delta" | "solve") ] when name <> "" ->
-      Mutation name
-  | _ -> Local
-
 (* --- forwarding --- *)
 
 let count_forward t node ~outcome =
@@ -200,14 +167,6 @@ let count_rejected t reason =
 
 let retry_after_headers t =
   [ ("retry-after", string_of_int (max 1 (int_of_float (ceil t.probe_interval_s)))) ]
-
-let deadline_ms_of (req : Http.request) =
-  match Http.query_param req "timeout_ms" with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some ms when Float.is_finite ms && ms > 0.0 -> Some ms
-      | _ -> None)
-  | None -> None
 
 let shard_header node = ("x-bcc-shard", Ring.node_id node)
 
@@ -251,8 +210,7 @@ let attempt t node ~idempotent ~deadline_ms (req : Http.request) =
    shard is a valid fallback (deterministic solver — identical bytes
    from any of them).  GETs additionally hedge onto the first backup
    when the primary is slow. *)
-let forward_stateless t key (req : Http.request) =
-  let deadline_ms = deadline_ms_of req in
+let forward_stateless t key ~deadline_ms (req : Http.request) =
   let nodes = Ring.order t.ring key in
   let up_nodes = List.filter (is_up t) nodes in
   let candidates = if up_nodes = [] then nodes else up_nodes in
@@ -294,8 +252,7 @@ let forward_stateless t key (req : Http.request) =
    owner gets 503 + retry-after (the client retries once the shard
    recovers) — never a silent failover that would read stale state or
    fork the journal. *)
-let forward_sticky t key ~mutation (req : Http.request) =
-  let deadline_ms = deadline_ms_of req in
+let forward_sticky t key ~mutation ~deadline_ms (req : Http.request) =
   let owner = Ring.owner t.ring key in
   if not (is_up t owner) then begin
     count_forward t owner ~outcome:"down";
@@ -313,8 +270,7 @@ let forward_sticky t key ~mutation (req : Http.request) =
              (Ring.node_id owner) key message)
 
 (* GET /workloads is the union of every shard's listing. *)
-let forward_scatter t (req : Http.request) =
-  let deadline_ms = deadline_ms_of req in
+let forward_scatter t ~deadline_ms (req : Http.request) =
   let rows =
     List.concat_map
       (fun node ->
@@ -333,42 +289,31 @@ let forward_scatter t (req : Http.request) =
   in
   Http.json_response 200 (Json.Obj [ ("workloads", Json.List rows) ])
 
-let tenant_of (req : Http.request) =
-  let nonempty = function Some "" | None -> None | Some s -> Some s in
-  let from_body () =
-    let b = String.trim req.Http.body in
-    if b = "" || b.[0] <> '{' then None
-    else
-      match Json.of_string b with
-      | Ok j -> nonempty (Option.bind (Json.member "tenant" j) Json.get_string)
-      | Error _ -> None
-  in
-  match nonempty (Http.query_param req "tenant") with
-  | Some t -> t
-  | None -> (
-      match nonempty (Http.header req "x-bcc-tenant") with
-      | Some t -> t
-      | None -> ( match from_body () with Some t -> t | None -> "default"))
-
+(* The request's own timeout rides [X-Bcc-Deadline-Ms] to the shard
+   unchanged (in whole milliseconds), not the time left after this hop. *)
 let forward t (req : Http.request) =
-  match classify req with
-  | Local -> None
-  | route ->
-      let tenant = tenant_of req in
-      let run () =
-        match route with
-        | Local -> assert false
-        | Stateless key -> forward_stateless t key req
-        | Sticky_read key -> forward_sticky t key ~mutation:false req
-        | Mutation key -> forward_sticky t key ~mutation:true req
-        | Scatter -> forward_scatter t req
-      in
-      Some
-        (match Admission.with_slot t.admission ~tenant run with
-        | Some resp -> resp
-        | None ->
-            count_rejected t "tenant_inflight_full";
-            Http.error_response
-              ~headers:[ ("retry-after", "1") ]
-              429
-              (Printf.sprintf "tenant %S has too many forwards in flight" tenant))
+  let r = Request.decode req in
+  let deadline_ms = r.Request.timeout_ms in
+  let send =
+    match r.Request.placement with
+    | Request.Local -> None
+    | Request.Stateless key ->
+        Some (fun () -> forward_stateless t (Lazy.force key) ~deadline_ms req)
+    | Request.Sticky_read key ->
+        Some (fun () -> forward_sticky t key ~mutation:false ~deadline_ms req)
+    | Request.Mutation key ->
+        Some (fun () -> forward_sticky t key ~mutation:true ~deadline_ms req)
+    | Request.Scatter -> Some (fun () -> forward_scatter t ~deadline_ms req)
+  in
+  let tenant = r.Request.tenant in
+  Option.map
+    (fun send ->
+      match Admission.with_slot t.admission ~tenant send with
+      | Some resp -> resp
+      | None ->
+          count_rejected t "tenant_inflight_full";
+          Http.error_response
+            ~headers:[ ("retry-after", "1") ]
+            429
+            (Printf.sprintf "tenant %S has too many forwards in flight" tenant))
+    send

@@ -2,7 +2,8 @@
 
     Rendezvous hashing ({!Ring}) pins each workload to an owning shard,
     so its journal, curve artifacts and request coalescing never split.
-    Request classes get different policies:
+    Request classes ({!Bcc_server.Request.placement}) get different
+    policies:
 
     - {b Stateless compute} ([POST /solve], [/gmc3], [/ecc], and
       [GET /instances]): the solver is deterministic, so any shard

@@ -233,62 +233,6 @@ let solution_fields inst (sol : Solution.t) =
     ("verified", Json.Bool (Solution.verify inst sol));
   ]
 
-type endpoint = E_solve | E_gmc3 | E_ecc
-
-let endpoint_name = function
-  | E_solve -> "solve"
-  | E_gmc3 -> "gmc3"
-  | E_ecc -> "ecc"
-
-(* Instance source + optional budget/target/timeout_ms from the body
-   (raw instance text, or a JSON object) merged with
-   ?budget=/?target=/?timeout_ms= query params (query wins, so a
-   raw-text body can still be swept over budgets). *)
-let parse_params (req : Http.request) =
-  let body = req.Http.body in
-  let trimmed = String.trim body in
-  let from_body =
-    if trimmed = "" then Error "empty body: send instance text or a JSON object"
-    else if trimmed.[0] = '{' then
-      match Json.of_string trimmed with
-      | Error msg -> Error ("bad JSON body: " ^ msg)
-      | Ok j -> (
-          let field name get = Option.bind (Json.member name j) get in
-          let name = field "instance" Json.get_string in
-          let text = field "text" Json.get_string in
-          let budget = field "budget" Json.get_num in
-          let target = field "target" Json.get_num in
-          let timeout_ms = field "timeout_ms" Json.get_num in
-          match (name, text) with
-          | Some n, None -> Ok (`Named n, budget, target, timeout_ms)
-          | None, Some s -> Ok (`Inline s, budget, target, timeout_ms)
-          | Some _, Some _ -> Error {|provide either "instance" or "text", not both|}
-          | None, None -> Error {|JSON body needs an "instance" name or inline "text"|})
-    else Ok (`Inline body, None, None, None)
-  in
-  match from_body with
-  | Error _ as e -> e
-  | Ok (src, budget, target, timeout_ms) -> (
-      let num_param name fallback =
-        match Http.query_param req name with
-        | None -> Ok fallback
-        | Some s -> (
-            match float_of_string_opt s with
-            | Some f when Float.is_finite f -> Ok (Some f)
-            | _ -> Error (Printf.sprintf "bad ?%s=%s" name s))
-      in
-      match
-        ( num_param "budget" budget,
-          num_param "target" target,
-          num_param "timeout_ms" timeout_ms )
-      with
-      | Ok budget, Ok target, Ok timeout_ms -> (
-          match timeout_ms with
-          | Some ms when not (Float.is_finite ms && ms > 0.0) ->
-              Error "timeout_ms must be a positive number of milliseconds"
-          | _ -> Ok (src, budget, target, timeout_ms))
-      | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e)
-
 (* Cache lookups pass through the ["cache.get"] injection point; a
    lookup that faults is downgraded to a miss (plus an error counter) so
    a broken cache degrades throughput, never availability. *)
@@ -304,15 +248,16 @@ let cache_find t ~name cache key =
         ~help:"Cache lookups that failed (treated as misses).";
       None
 
-let resolve_instance t src =
-  match src with
-  | `Named name -> (
+let fmt_opt = function None -> "-" | Some x -> Printf.sprintf "%.17g" x
+
+let resolve_instance t = function
+  | Request.Named name -> (
       match Hashtbl.find_opt t.named name with
       | Some l -> Ok l
       | None -> Error (404, "unknown instance: " ^ name))
-  | `Inline text -> (
-      let raw_digest = Digest.to_hex (Digest.string text) in
-      match cache_find t ~name:"instance" t.inst_cache raw_digest with
+  | Request.Inline { text; digest } -> (
+      let digest = Lazy.force digest in
+      match cache_find t ~name:"instance" t.inst_cache digest with
       | Some l ->
           Metrics.inc t.metrics "bccd_cache_hits_total"
             ~labels:[ ("cache", "instance") ];
@@ -320,141 +265,119 @@ let resolve_instance t src =
       | None -> (
           Metrics.inc t.metrics "bccd_cache_misses_total"
             ~labels:[ ("cache", "instance") ];
-          match Io.load_string ~name:("inline-" ^ String.sub raw_digest 0 8) text with
+          match Io.load_string ~name:("inline-" ^ String.sub digest 0 8) text with
           | inst ->
               let l = { digest = canonical_digest inst; inst } in
-              Cache.put t.inst_cache raw_digest l;
+              Cache.put t.inst_cache digest l;
               Ok l
           | exception Failure msg -> Error (400, msg)))
 
-(* Deadline propagation across cluster hops: the router forwards its
-   remaining time budget as [X-Bcc-Deadline-Ms], so a shard never spends
-   longer on a solve than the hop that asked for it is willing to wait.
-   An explicit [timeout_ms] in the request still wins — the header is
-   the cross-hop fallback. *)
-let header_deadline_ms (req : Http.request) =
-  match Http.header req "x-bcc-deadline-ms" with
-  | None -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some ms when Float.is_finite ms && ms > 0.0 -> Some ms
-      | _ -> None)
+(* The solve's own deadline, anchored when its handler starts, not at
+   admission. *)
+let deadline_of = function
+  | None -> Deadline.none
+  | Some ms -> Deadline.of_timeout_ms ~label:"request" ms
 
-let handle_solve t ep req =
-  match parse_params req with
-  | Error msg -> Http.error_response 400 msg
-  | Ok (src, budget, target, timeout_ms) -> (
-      match resolve_instance t src with
-      | Error (status, msg) -> Http.error_response status msg
-      | Ok { digest; inst } -> (
-          match (ep, target) with
-          | E_gmc3, None -> Http.error_response 400 "gmc3 needs a \"target\" utility"
-          | _ -> (
-              let inst =
-                match budget with
-                | Some b when b >= 0.0 -> Instance.with_budget inst b
-                | _ -> inst
-              in
-              let fmt_opt = function
-                | None -> "-"
-                | Some x -> Printf.sprintf "%.17g" x
-              in
-              let key =
-                Printf.sprintf "%s|%s|b=%s|t=%s" digest (endpoint_name ep)
-                  (fmt_opt budget) (fmt_opt target)
-              in
-              let deadline =
-                match
-                  (match timeout_ms with
-                   | Some _ as ms -> ms
-                   | None -> header_deadline_ms req)
-                with
-                | None -> Deadline.none
-                | Some ms -> Deadline.of_timeout_ms ~label:"request" ms
-              in
-              let degraded = ref false in
-              let compute () =
-                let timer = Timer.start () in
-                let fields =
-                  match ep with
-                  | E_solve ->
-                      let r = Solver.solve_within ~deadline inst in
-                      if r.Solver.degraded then degraded := true;
-                      solution_fields inst r.Solver.solution
-                  | E_gmc3 ->
-                      (* GMC3/ECC inherit the deadline ambiently (their
-                         inner solves degrade rather than raise); the
-                         expired clock afterwards is what marks the
-                         composite result degraded. *)
-                      let r =
-                        Deadline.with_current deadline @@ fun () ->
-                        Gmc3.solve inst ~target:(Option.get target)
-                      in
-                      if Deadline.expired deadline then degraded := true;
-                      solution_fields inst r.Gmc3.solution
-                      @ [
-                          ("reached", Json.Bool r.Gmc3.reached);
-                          ("budget_used", Json.Num r.Gmc3.budget_used);
-                        ]
-                  | E_ecc ->
-                      let sol =
-                        Deadline.with_current deadline @@ fun () -> Ecc.solve inst
-                      in
-                      if Deadline.expired deadline then degraded := true;
-                      solution_fields inst sol
-                      @ [ ("ratio", Json.Num (Ecc.ratio_of sol)) ]
-                in
-                Metrics.observe t.metrics "bccd_solve_duration_seconds"
-                  ~labels:[ ("endpoint", endpoint_name ep) ]
-                  ~help:"Time spent computing uncached solves."
-                  (Timer.elapsed_s timer);
-                Json.Obj
-                  (( "instance",
-                     Json.Str
-                       (match src with
-                       | `Named n -> n
-                       | `Inline _ -> Instance.name inst) )
-                  :: ("digest", Json.Str digest)
-                  :: ("budget", Json.Num (Instance.budget inst))
-                  :: fields)
-              in
-              match
-                match cache_find t ~name:"solution" t.sol_cache key with
-                | Some json -> (json, true)
-                | None ->
-                    let json = compute () in
-                    (* A degraded result is what the deadline allowed,
-                       not the instance's answer — never memoize it. *)
-                    if not !degraded then Cache.put t.sol_cache key json;
-                    (json, false)
-              with
-              | json, was_hit ->
-                  Metrics.inc t.metrics
-                    (if was_hit then "bccd_cache_hits_total"
-                     else "bccd_cache_misses_total")
-                    ~labels:[ ("cache", "solution") ];
-                  if !degraded then begin
-                    Metrics.inc t.metrics "bcc_requests_degraded_total"
-                      ~labels:[ ("endpoint", endpoint_name ep) ]
-                      ~help:"Requests answered with a degraded (deadline-cut) solution."
-                  end;
-                  if (not (Deadline.is_none deadline)) && Deadline.expired deadline
-                  then
-                    Metrics.inc t.metrics "bcc_deadline_exceeded_total"
-                      ~labels:[ ("endpoint", endpoint_name ep) ]
-                      ~help:"Requests whose deadline expired during handling.";
-                  let extra =
-                    (if Deadline.is_none deadline then []
-                     else [ ("degraded", Json.Bool !degraded) ])
-                    @ [ ("cached", Json.Bool was_hit) ]
+let handle_solve t ~endpoint ~source ~budget ~target ~timeout_ms =
+  let ep = Request.endpoint_name endpoint in
+  match resolve_instance t source with
+  | Error (status, msg) -> Http.error_response status msg
+  | Ok { digest; inst } -> (
+      match (endpoint, target) with
+      | Request.Gmc3, None -> Http.error_response 400 "gmc3 needs a \"target\" utility"
+      | _ -> (
+          let inst =
+            match budget with
+            | Some b when b >= 0.0 -> Instance.with_budget inst b
+            | _ -> inst
+          in
+          let key =
+            Printf.sprintf "%s|%s|b=%s|t=%s" digest ep (fmt_opt budget) (fmt_opt target)
+          in
+          let deadline = deadline_of timeout_ms in
+          let degraded = ref false in
+          let compute () =
+            let timer = Timer.start () in
+            let fields =
+              match endpoint with
+              | Request.Solve ->
+                  let r = Solver.solve_within ~deadline inst in
+                  if r.Solver.degraded then degraded := true;
+                  solution_fields inst r.Solver.solution
+              | Request.Gmc3 ->
+                  (* GMC3/ECC inherit the deadline ambiently (their
+                     inner solves degrade rather than raise); the
+                     expired clock afterwards is what marks the
+                     composite result degraded. *)
+                  let r =
+                    Deadline.with_current deadline @@ fun () ->
+                    Gmc3.solve inst ~target:(Option.get target)
                   in
-                  let json =
-                    match json with
-                    | Json.Obj fields -> Json.Obj (fields @ extra)
-                    | j -> j
+                  if Deadline.expired deadline then degraded := true;
+                  solution_fields inst r.Gmc3.solution
+                  @ [
+                      ("reached", Json.Bool r.Gmc3.reached);
+                      ("budget_used", Json.Num r.Gmc3.budget_used);
+                    ]
+              | Request.Ecc ->
+                  let sol =
+                    Deadline.with_current deadline @@ fun () -> Ecc.solve inst
                   in
-                  Http.json_response 200 json
-              | exception Failure msg -> Http.error_response 400 msg)))
+                  if Deadline.expired deadline then degraded := true;
+                  solution_fields inst sol
+                  @ [ ("ratio", Json.Num (Ecc.ratio_of sol)) ]
+            in
+            Metrics.observe t.metrics "bccd_solve_duration_seconds"
+              ~labels:[ ("endpoint", ep) ]
+              ~help:"Time spent computing uncached solves."
+              (Timer.elapsed_s timer);
+            Json.Obj
+              (( "instance",
+                 Json.Str
+                   (match source with
+                   | Request.Named n -> n
+                   | Request.Inline _ -> Instance.name inst) )
+              :: ("digest", Json.Str digest)
+              :: ("budget", Json.Num (Instance.budget inst))
+              :: fields)
+          in
+          match
+            match cache_find t ~name:"solution" t.sol_cache key with
+            | Some json -> (json, true)
+            | None ->
+                let json = compute () in
+                (* A degraded result is what the deadline allowed,
+                   not the instance's answer — never memoize it. *)
+                if not !degraded then Cache.put t.sol_cache key json;
+                (json, false)
+          with
+          | json, was_hit ->
+              Metrics.inc t.metrics
+                (if was_hit then "bccd_cache_hits_total"
+                 else "bccd_cache_misses_total")
+                ~labels:[ ("cache", "solution") ];
+              if !degraded then begin
+                Metrics.inc t.metrics "bcc_requests_degraded_total"
+                  ~labels:[ ("endpoint", ep) ]
+                  ~help:"Requests answered with a degraded (deadline-cut) solution."
+              end;
+              if (not (Deadline.is_none deadline)) && Deadline.expired deadline
+              then
+                Metrics.inc t.metrics "bcc_deadline_exceeded_total"
+                  ~labels:[ ("endpoint", ep) ]
+                  ~help:"Requests whose deadline expired during handling.";
+              let extra =
+                (if Deadline.is_none deadline then []
+                 else [ ("degraded", Json.Bool !degraded) ])
+                @ [ ("cached", Json.Bool was_hit) ]
+              in
+              let json =
+                match json with
+                | Json.Obj fields -> Json.Obj (fields @ extra)
+                | j -> j
+              in
+              Http.json_response 200 json
+          | exception Failure msg -> Http.error_response 400 msg))
 
 (* --- workload store endpoints --- *)
 
@@ -495,113 +418,43 @@ let solved_json (s : Store.solved) =
         ("components_reused", Json.Num (float_of_int s.Store.components_reused));
       ])
 
-let store_error = function
-  | `Not_found -> Http.error_response 404 "no such workload (or it was never solved)"
-  | `Bad msg -> Http.error_response 400 msg
+let stored to_json = function
+  | Ok v -> Http.json_response 200 (to_json v)
+  | Error `Not_found -> Http.error_response 404 "no such workload (or it was never solved)"
+  | Error (`Bad msg) -> Http.error_response 400 msg
 
-let handle_workload_put t name req =
-  let budget =
-    match Http.query_param req "budget" with
-    | None -> Ok None
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some b when Float.is_finite b && b >= 0.0 -> Ok (Some b)
-        | _ -> Error ("bad ?budget=" ^ s))
-  in
-  let source =
-    match Http.query_param req "format" with
-    | None | Some "text" -> Ok (Store.Text req.Http.body)
-    | Some "log" -> Ok (Store.Log req.Http.body)
-    | Some f -> Error ("unknown ?format=" ^ f ^ " (use text or log)")
-  in
-  match (budget, source) with
-  | Error msg, _ | _, Error msg -> Http.error_response 400 msg
-  | Ok budget, Ok source -> (
-      match Store.put t.store ~name ?budget source with
-      | Ok info -> Http.json_response 200 (info_json info)
-      | Error e -> store_error e)
+let handle_workload_delta t name ~log body =
+  match
+    (* A raw log tail as a delta: each line becomes an [add] of its
+       search count, the paper's drifting-utility feed. *)
+    if log then fst (Delta.of_log body) else Delta.parse body
+  with
+  | exception Failure msg -> Http.error_response 400 msg
+  | ops -> stored info_json (Store.delta t.store ~name ops)
 
-let handle_workload_delta t name req =
-  let ops =
-    match Http.query_param req "format" with
-    | None | Some "delta" -> (
-        match Delta.parse req.Http.body with
-        | ops -> Ok ops
-        | exception Failure msg -> Error msg)
-    | Some "log" -> (
-        (* A raw log tail as a delta: each line becomes an [add] of its
-           search count, the paper's drifting-utility feed. *)
-        match Delta.of_log req.Http.body with
-        | ops, _stats -> Ok ops
-        | exception Failure msg -> Error msg)
-    | Some f -> Error ("unknown ?format=" ^ f ^ " (use delta or log)")
-  in
-  match ops with
-  | Error msg -> Http.error_response 400 msg
-  | Ok ops -> (
-      match Store.delta t.store ~name ops with
-      | Ok info -> Http.json_response 200 (info_json info)
-      | Error e -> store_error e)
-
-let handle_workload_solve t name req =
-  let flag param =
-    match Http.query_param req param with
-    | None | Some ("0" | "false" | "no") -> Ok false
-    | Some ("1" | "true" | "yes") -> Ok true
-    | Some s -> Error (Printf.sprintf "bad ?%s=%s" param s)
-  in
-  let cold = flag "cold" in
-  let incremental = flag "incremental" in
-  let deadline =
-    match Http.query_param req "timeout_ms" with
-    | None -> (
-        match header_deadline_ms req with
-        | Some ms -> Ok (Deadline.of_timeout_ms ~label:"request" ms)
-        | None -> Ok Deadline.none)
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some ms when Float.is_finite ms && ms > 0.0 ->
-            Ok (Deadline.of_timeout_ms ~label:"request" ms)
-        | _ -> Error "timeout_ms must be a positive number of milliseconds")
-  in
-  match (cold, incremental, deadline) with
-  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> Http.error_response 400 msg
-  | Ok cold, Ok incremental, Ok deadline -> (
-      match Store.solve t.store ~name ~cold ~incremental ~deadline () with
-      | Ok s ->
-          Metrics.observe t.metrics "bccd_solve_duration_seconds"
-            ~labels:[ ("endpoint", "workload") ]
-            ~help:"Time spent computing uncached solves." s.Store.wall_s;
-          if incremental then begin
-            Metrics.inc t.metrics "bcc_resolve_components_total"
-              ~by:(float_of_int s.Store.components_total)
-              ~help:"Pipeline components staged by incremental re-solves.";
-            Metrics.inc t.metrics "bcc_resolve_components_reused_total"
-              ~by:(float_of_int s.Store.components_reused)
-              ~help:"Pipeline component curves served from the artifact cache.";
-            Metrics.observe t.metrics "bcc_resolve_wall_seconds"
-              ~help:"Wall time of incremental (pipeline) re-solves." s.Store.wall_s
-          end;
-          if s.Store.degraded then
-            Metrics.inc t.metrics "bcc_requests_degraded_total"
-              ~labels:[ ("endpoint", "workload") ]
-              ~help:"Requests answered with a degraded (deadline-cut) solution.";
-          Http.json_response 200 (solved_json s)
-      | Error e -> store_error e)
-
-let handle_workload_solution t name =
-  match Store.solution t.store name with
-  | Ok s -> Http.json_response 200 (solved_json s)
-  | Error e -> store_error e
-
-let handle_workload_info t name =
-  match Store.info t.store name with
-  | Some i -> Http.json_response 200 (info_json i)
-  | None -> store_error `Not_found
-
-let handle_workloads_list t =
-  Http.json_response 200
-    (Json.Obj [ ("workloads", Json.List (List.map info_json (Store.list t.store))) ])
+let handle_workload_solve t name ~cold ~incremental ~timeout_ms =
+  let deadline = deadline_of timeout_ms in
+  match Store.solve t.store ~name ~cold ~incremental ~deadline () with
+  | Error e -> stored solved_json (Error e)
+  | Ok s ->
+      Metrics.observe t.metrics "bccd_solve_duration_seconds"
+        ~labels:[ ("endpoint", "workload") ]
+        ~help:"Time spent computing uncached solves." s.Store.wall_s;
+      if incremental then begin
+        Metrics.inc t.metrics "bcc_resolve_components_total"
+          ~by:(float_of_int s.Store.components_total)
+          ~help:"Pipeline components staged by incremental re-solves.";
+        Metrics.inc t.metrics "bcc_resolve_components_reused_total"
+          ~by:(float_of_int s.Store.components_reused)
+          ~help:"Pipeline component curves served from the artifact cache.";
+        Metrics.observe t.metrics "bcc_resolve_wall_seconds"
+          ~help:"Wall time of incremental (pipeline) re-solves." s.Store.wall_s
+      end;
+      if s.Store.degraded then
+        Metrics.inc t.metrics "bcc_requests_degraded_total"
+          ~labels:[ ("endpoint", "workload") ]
+          ~help:"Requests answered with a degraded (deadline-cut) solution.";
+      Http.json_response 200 (solved_json s)
 
 let handle_instances t =
   let entries =
@@ -643,13 +496,7 @@ let span_json (sp : Trace.span) children =
 (* Last-N completed spans as a forest.  Children complete before their
    parents, so one chronological pass has every child's JSON built by
    the time its parent is reached. *)
-let handle_trace req =
-  let last =
-    match Http.query_param req "last" with
-    | None -> 512
-    | Some s -> (
-        match int_of_string_opt s with Some n when n > 0 -> n | _ -> 512)
-  in
+let handle_trace last =
   let spans = Trace.spans ~last () in
   let present = Hashtbl.create 64 in
   List.iter (fun (sp : Trace.span) -> Hashtbl.replace present sp.Trace.id ()) spans;
@@ -744,8 +591,7 @@ let solve_json ~detail (s : Recorder.solve) =
             (List.map (fun sp -> span_json sp []) s.Recorder.spans) );
       ])
 
-let handle_solves req =
-  match Http.query_param req "id" with
+let handle_solves = function
   | Some id -> (
       match Recorder.find id with
       | Some s -> Http.json_response 200 (solve_json ~detail:true s)
@@ -922,49 +768,29 @@ let handle_metrics t =
   Http.response ~content_type:"text/plain; version=0.0.4; charset=utf-8" 200
     (Metrics.render t.metrics)
 
-(* The workload routes are the one segment-parameterized family; the
-   flat endpoints stay exact-match. *)
-let handle_workloads t meth segs req =
-  match (meth, segs) with
-  | "GET", [] -> handle_workloads_list t
-  | "PUT", [ name ] -> handle_workload_put t name req
-  | "GET", [ name ] -> handle_workload_info t name
-  | "POST", [ name; "delta" ] -> handle_workload_delta t name req
-  | "POST", [ name; "solve" ] -> handle_workload_solve t name req
-  | "GET", [ name; "solution" ] -> handle_workload_solution t name
-  | _, [] -> Http.error_response 405 "use GET for /workloads"
-  | _, [ _ ] -> Http.error_response 405 ("use PUT or GET for " ^ req.Http.path)
-  | _, [ _; ("delta" | "solve") ] -> Http.error_response 405 ("use POST for " ^ req.Http.path)
-  | _, [ _; "solution" ] -> Http.error_response 405 ("use GET for " ^ req.Http.path)
-  | _ -> Http.error_response 404 ("no such endpoint: " ^ req.Http.path)
-
-let handle_direct t (req : Http.request) =
-  match (req.meth, req.path) with
-  | "GET", "/healthz" -> Http.response 200 "ok\n"
-  | "GET", "/metrics" -> handle_metrics t
-  | "GET", "/instances" -> handle_instances t
-  | "GET", "/debug/trace" -> handle_trace req
-  | "GET", "/debug/solves" -> handle_solves req
-  | "GET", "/debug/sched" -> handle_sched_debug t
-  | "POST", "/solve" -> handle_solve t E_solve req
-  | "POST", "/gmc3" -> handle_solve t E_gmc3 req
-  | "POST", "/ecc" -> handle_solve t E_ecc req
-  | meth, path
-    when path = "/workloads"
-         || String.length path > 11
-            && String.sub path 0 11 = "/workloads/" ->
-      let segs =
-        match String.split_on_char '/' path with
-        | "" :: "workloads" :: rest -> List.filter (fun s -> s <> "") rest
-        | _ -> []
-      in
-      handle_workloads t meth segs req
-  | _, ("/solve" | "/gmc3" | "/ecc") ->
-      Http.error_response 405 ("use POST for " ^ req.path)
-  | _, ("/healthz" | "/metrics" | "/instances" | "/debug/trace" | "/debug/solves"
-       | "/debug/sched") ->
-      Http.error_response 405 ("use GET for " ^ req.path)
-  | _ -> Http.error_response 404 ("no such endpoint: " ^ req.path)
+let handle_direct t (r : Request.t) =
+  let timeout_ms = r.Request.timeout_ms in
+  match r.Request.route with
+  | Request.Healthz -> Http.response 200 "ok\n"
+  | Request.Metrics -> handle_metrics t
+  | Request.Instances -> handle_instances t
+  | Request.Debug_trace last -> handle_trace last
+  | Request.Debug_solves id -> handle_solves id
+  | Request.Debug_sched -> handle_sched_debug t
+  | Request.Compute { endpoint; source; budget; target } ->
+      handle_solve t ~endpoint ~source ~budget ~target ~timeout_ms
+  | Request.Workload_list ->
+      Http.json_response 200
+        (Json.Obj [ ("workloads", Json.List (List.map info_json (Store.list t.store))) ])
+  | Request.Workload_put { name; budget; source } ->
+      stored info_json (Store.put t.store ~name ?budget source)
+  | Request.Workload_info name ->
+      stored info_json (Option.to_result ~none:`Not_found (Store.info t.store name))
+  | Request.Workload_delta { name; log; body } -> handle_workload_delta t name ~log body
+  | Request.Workload_solve { name; cold; incremental } ->
+      handle_workload_solve t name ~cold ~incremental ~timeout_ms
+  | Request.Workload_solution name -> stored solved_json (Store.solution t.store name)
+  | Request.Reject (status, msg) -> Http.error_response status msg
 
 (* --- scheduled solve admission --- *)
 
@@ -979,50 +805,6 @@ let count_rejected t reason =
     ~labels:[ ("reason", reason) ]
     ~help:"Requests rejected before solving (backpressure, shutdown)."
 
-(* Tenant identity for fair-share admission: ?tenant= query param, then
-   the [x-bcc-tenant] header, then a "tenant" field of a JSON body;
-   anonymous traffic shares the "default" tenant. *)
-let tenant_of (req : Http.request) =
-  let nonempty = function Some "" | None -> None | Some s -> Some s in
-  let from_body () =
-    let b = String.trim req.Http.body in
-    if b = "" || b.[0] <> '{' then None
-    else
-      match Json.of_string b with
-      | Ok j -> nonempty (Option.bind (Json.member "tenant" j) Json.get_string)
-      | Error _ -> None
-  in
-  match nonempty (Http.query_param req "tenant") with
-  | Some t -> t
-  | None -> (
-      match nonempty (Http.header req "x-bcc-tenant") with
-      | Some t -> t
-      | None -> ( match from_body () with Some t -> t | None -> "default"))
-
-(* The request's timeout, as an absolute queue deadline: a request that
-   cannot finish in time should be pruned from the queue, not solved. *)
-let request_deadline_s (req : Http.request) =
-  let from_query =
-    Option.bind (Http.query_param req "timeout_ms") float_of_string_opt
-  in
-  let from_body () =
-    let b = String.trim req.Http.body in
-    if b = "" || b.[0] <> '{' then None
-    else
-      match Json.of_string b with
-      | Ok j -> Option.bind (Json.member "timeout_ms" j) Json.get_num
-      | Error _ -> None
-  in
-  let explicit =
-    match from_query with Some ms -> Some ms | None -> from_body ()
-  in
-  match
-    (match explicit with Some _ -> explicit | None -> header_deadline_ms req)
-  with
-  | Some ms when Float.is_finite ms && ms > 0.0 ->
-      Some (Timer.now_s () +. (ms /. 1000.))
-  | _ -> None
-
 let default_options_fp = lazy (Pipeline.options_fingerprint Solver.default_options)
 
 (* Coalescing identity.  [key] is the artifact-sharing identity — same
@@ -1032,40 +814,33 @@ let default_options_fp = lazy (Pipeline.options_fingerprint Solver.default_optio
    changes the response bytes, so only bit-identical requests share a
    computed result.  [None] routes around the scheduler (the direct
    path produces the 400/404). *)
-let sched_keys t (req : Http.request) =
-  if req.Http.meth <> "POST" then None
-  else
-    let optfp = Lazy.force default_options_fp in
-    let fmt_opt = function None -> "-" | Some x -> Printf.sprintf "%.17g" x in
-    match req.Http.path with
-    | "/solve" | "/gmc3" | "/ecc" -> (
-        match parse_params req with
-        | Error _ -> None
-        | Ok (src, budget, target, timeout_ms) ->
-            let src_id =
-              match src with
-              | `Named n -> "n:" ^ n
-              | `Inline text -> "i:" ^ Digest.to_hex (Digest.string text)
-            in
-            let key = Printf.sprintf "s|%s|%s|%s" req.Http.path src_id optfp in
-            let subkey =
-              Printf.sprintf "%s|b=%s|t=%s|to=%s" key (fmt_opt budget)
-                (fmt_opt target) (fmt_opt timeout_ms)
-            in
-            Some (key, subkey))
-    | path -> (
-        match String.split_on_char '/' path with
-        | [ ""; "workloads"; name; "solve" ] -> (
-            match Store.info t.store name with
-            | None -> None
-            | Some i ->
-                let q name = Option.value ~default:"" (Http.query_param req name) in
-                let key =
-                  Printf.sprintf "w|%s|e=%d|%s|c=%s|i=%s" name i.Store.epoch
-                    optfp (q "cold") (q "incremental")
-                in
-                Some (key, Printf.sprintf "%s|to=%s" key (q "timeout_ms")))
-        | _ -> None)
+let sched_keys t (r : Request.t) =
+  let optfp = Lazy.force default_options_fp in
+  let timeout = fmt_opt r.Request.timeout_ms in
+  match r.Request.route with
+  | Request.Compute { endpoint; source; budget; target } ->
+      let src_id =
+        match source with
+        | Request.Named n -> "n:" ^ n
+        | Request.Inline { digest; _ } -> "i:" ^ Lazy.force digest
+      in
+      let key =
+        Printf.sprintf "s|/%s|%s|%s" (Request.endpoint_name endpoint) src_id optfp
+      in
+      Some
+        ( key,
+          Printf.sprintf "%s|b=%s|t=%s|to=%s" key (fmt_opt budget) (fmt_opt target)
+            timeout )
+  | Request.Workload_solve { name; cold; incremental } ->
+      Option.map
+        (fun (i : Store.info) ->
+          let key =
+            Printf.sprintf "w|%s|e=%d|%s|c=%b|i=%b" name i.Store.epoch optfp cold
+              incremental
+          in
+          (key, Printf.sprintf "%s|to=%s" key timeout))
+        (Store.info t.store name)
+  | _ -> None
 
 (* Solve traffic goes through the batch scheduler: concurrent identical
    requests coalesce into one computation, tenants get weighted fair
@@ -1076,17 +851,22 @@ let handle t (req : Http.request) =
   match t.cfg.forward req with
   | Some resp -> resp
   | None -> (
-  match sched_keys t req with
-  | None -> handle_direct t req
+  let r = Request.decode req in
+  match sched_keys t r with
+  | None -> handle_direct t r
   | Some (key, subkey) -> (
-      let tenant = tenant_of req in
-      let deadline_s = request_deadline_s req in
+      let tenant = r.Request.tenant in
+      (* Queue deadline: a request that cannot finish in time is pruned
+         from the queue, not solved. *)
+      let deadline_s =
+        Option.map (fun ms -> Timer.now_s () +. (ms /. 1000.)) r.Request.timeout_ms
+      in
       let corr = Event.current_corr () in
       let run () =
         (* May run on another submitter's thread: re-install the
            originating request's correlation scope. *)
         let direct () =
-          try handle_direct t req with
+          try handle_direct t r with
           | Failure msg -> Http.error_response 400 msg
           | e -> Http.error_response 500 (Printexc.to_string e)
         in

@@ -3,17 +3,18 @@
     Architecture: one acceptor thread submits connections to a
     {!Bcc_engine.Engine.Pool} of worker domains (installed as the engine
     default, so solver-internal portfolios share the same domains); when
-    too many connections are waiting, new ones are refused with [503] at
-    the door (backpressure) instead of buffering unbounded work, and
-    requests that outwait the timeout in the queue are answered [503]
-    without being solved.  Results are
+    too many connections are waiting, new ones are refused with [429]
+    and [retry-after: 1] at the door (backpressure) instead of buffering
+    unbounded work, and requests that outwait the timeout in the queue
+    are answered [503] without being solved.  Results are
     memoized in a content-addressed LRU ({!Cache}) keyed by
     (instance digest, endpoint, budget, target), so a budget sweep over
     a fixed workload — the paper's Section 6 evaluation pattern — pays
     the instance parse and the [A^BCC] run once per distinct budget and
     the parse once overall.
 
-    Endpoints:
+    Endpoints ({!Request} decodes each request's parameters once, for
+    every layer):
     - [POST /solve], [POST /gmc3], [POST /ecc] — body is either the
       plain-text instance format of {!Bcc_data.Io} or a JSON object
       [{"instance": <preloaded name>}] / [{"text": <instance text>}]
@@ -63,10 +64,9 @@
     workload epoch) under the same solver options coalesce into one
     batch — bit-identical requests share one computed response; distinct
     budgets on the same key run as sibling groups priced off the same
-    curves.  Requests name a tenant ([?tenant=] query parameter,
-    [x-bcc-tenant] header, or a JSON ["tenant"] field; default
-    ["default"]) and tenants receive weighted fair share via deficit
-    round-robin ([tenant_weights]); a tenant whose queue exceeds
+    curves.  Requests name a tenant ({!Request} gives the precedence)
+    and tenants receive weighted fair share via deficit round-robin
+    ([tenant_weights]); a tenant whose queue exceeds
     [tenant_depth] is answered [429] with a [retry-after] of at least
     1 s.  [/metrics] exports the [bcc_sched_*] and [bcc_curve_cache_*]
     series.

@@ -22,7 +22,7 @@ let contains hay needle =
 
 (* [request_raw] keeps the status line and headers (the fault-matrix
    tests assert [retry-after]); [request] strips to the body. *)
-let request_raw ~port ~meth ~path ?(body = "") () =
+let request_raw ~port ~meth ~path ?(headers = []) ?(body = "") () =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
@@ -30,8 +30,10 @@ let request_raw ~port ~meth ~path ?(body = "") () =
       Unix.connect sock
         (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
       let req =
-        Printf.sprintf "%s %s HTTP/1.1\r\nhost: localhost\r\ncontent-length: %d\r\n\r\n%s"
-          meth path (String.length body) body
+        Printf.sprintf "%s %s HTTP/1.1\r\nhost: localhost\r\n%scontent-length: %d\r\n\r\n%s"
+          meth path
+          (String.concat "" (List.map (fun (k, v) -> k ^ ": " ^ v ^ "\r\n") headers))
+          (String.length body) body
       in
       let b = Bytes.of_string req in
       let rec write_all off =
@@ -57,8 +59,8 @@ let request_raw ~port ~meth ~path ?(body = "") () =
       in
       (status, raw))
 
-let request ~port ~meth ~path ?body () =
-  let status, raw = request_raw ~port ~meth ~path ?body () in
+let request ~port ~meth ~path ?headers ?body () =
+  let status, raw = request_raw ~port ~meth ~path ?headers ?body () in
   let body =
     let rec find i =
       if i + 3 >= String.length raw then String.length raw
@@ -77,7 +79,9 @@ type daemon = { pid : int; out : in_channel; port : int }
 let start_daemon ?faults ?(port = 0) args =
   if not (Sys.file_exists bccd_exe) then
     Alcotest.failf "daemon binary %s not built" bccd_exe;
-  let out_r, out_w = Unix.pipe () in
+  (* close-on-exec: the daemon must not hold the read end of its own
+     stdout, or closing [out] would not cut it off *)
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
   let argv =
     Array.of_list (bccd_exe :: "--port" :: string_of_int port :: args)
   in
@@ -1016,6 +1020,58 @@ let sched_coalescing_e2e () =
       Alcotest.(check bool) "curve cache holds entries" true
         (num_field "entries" (get_field "curve_cache" (sched_debug d)) >= 1.0))
 
+(* A request without a deadline must not be coalesced with one whose
+   deadline came from [X-Bcc-Deadline-Ms]: only the deadline-bounded
+   answer carries "degraded", so sharing one response would hand the
+   first caller bytes its own request never produces. *)
+let sched_coalescing_header_deadline () =
+  with_daemon ~faults:"cache.get:delay:1.5:1"
+    [ "--workers"; "8"; "--sched-concurrency"; "1" ]
+    (fun d _inst ->
+      let solve ?headers body = request ~port:d.port ~meth:"POST" ~path:"/solve" ?headers ~body () in
+      let json_of what (status, body) =
+        Alcotest.(check int) (what ^ " status") 200 status;
+        Json.of_string_exn (String.trim body)
+      in
+      let without_cached = function
+        | Json.Obj fields -> Json.to_string (Json.Obj (List.remove_assoc "cached" fields))
+        | j -> Json.to_string j
+      in
+      let a = ref (-1, "") and b = ref (-1, "") in
+      (* the first solve wedges the single slot; A and B then queue in one batch *)
+      let wedge =
+        Thread.create (fun () -> ignore (solve {|{"instance":"fig","budget":11}|})) ()
+      in
+      Thread.delay 0.4;
+      let ta =
+        Thread.create
+          (fun () -> a := solve ~headers:[ ("X-Bcc-Deadline-Ms", "60000") ] solve_body)
+          ()
+      in
+      Thread.delay 0.2;
+      let tb = Thread.create (fun () -> b := solve solve_body) () in
+      List.iter Thread.join [ wedge; ta; tb ];
+      let ja = json_of "A" !a and jb = json_of "B" !b in
+      Alcotest.(check (option bool)) "A is deadline-bounded" (Some false)
+        (Option.bind (Json.member "degraded" ja) Json.get_bool);
+      Alcotest.(check bool) "B carries no degraded field" true
+        (Json.member "degraded" jb = None);
+      Alcotest.(check string) "B equals B sent alone, ignoring cached"
+        (without_cached (json_of "B alone" (solve solve_body)))
+        (without_cached jb))
+
+(* Nothing reads the daemon's stdout any more: its closing status line
+   must not turn a clean drain into a failure exit. *)
+let shutdown_with_stdout_closed () =
+  let d = start_daemon [ "--workers"; "1" ] in
+  close_in d.out;
+  Unix.kill d.pid Sys.sigterm;
+  match wait_exit d with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "daemon exited with code %d" c
+  | Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
+  | Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped unexpectedly"
+
 (* An armed sched.enqueue fault costs exactly the armed number of
    requests — one 500 each — and never wedges the queue. *)
 let fault_sched_enqueue () =
@@ -1230,6 +1286,9 @@ let suite =
     ("fault matrix: pipeline.artifact throw -> zero reuse, same answer", `Quick,
       fault_pipeline_artifact);
     ("sched: coalescing, tenants, curve cache over HTTP", `Quick, sched_coalescing_e2e);
+    ("sched: a header deadline is part of the coalescing identity", `Quick,
+      sched_coalescing_header_deadline);
+    ("shutdown: exits 0 with nobody reading stdout", `Quick, shutdown_with_stdout_closed);
     ("fault matrix: sched.enqueue throw -> bounded 500s, queue intact", `Quick,
       fault_sched_enqueue);
     ("fault matrix: tenant depth -> 429 + retry-after, tenant isolation", `Quick,

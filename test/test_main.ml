@@ -26,6 +26,7 @@ let () =
       ("pipeline", Test_pipeline.suite);
       ("sched", Test_sched.suite);
       ("server", Test_server.suite);
+      ("request", Test_request.suite);
       ("obs", Test_obs.suite);
       ("cluster", Test_cluster.suite);
       ("bccd", Test_bccd.suite);
