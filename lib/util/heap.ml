@@ -34,10 +34,17 @@ let swap t i j =
   t.pos.(kj) <- i;
   t.pos.(ki) <- j
 
+(* The heap order: internal priority, then key.  Keys are unique, so
+   this is a strict total order and the pop sequence depends on the
+   members alone, never on how earlier operations left the slots. *)
+let before t a b =
+  let pa = t.prio.(a) and pb = t.prio.(b) in
+  pa < pb || (pa = pb && a < b)
+
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if t.prio.(t.keys.(i)) < t.prio.(t.keys.(parent)) then begin
+    if before t t.keys.(i) t.keys.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
@@ -46,8 +53,8 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < t.size && t.prio.(t.keys.(l)) < t.prio.(t.keys.(!smallest)) then smallest := l;
-  if r < t.size && t.prio.(t.keys.(r)) < t.prio.(t.keys.(!smallest)) then smallest := r;
+  if l < t.size && before t t.keys.(l) t.keys.(!smallest) then smallest := l;
+  if r < t.size && before t t.keys.(r) t.keys.(!smallest) then smallest := r;
   if !smallest <> i then begin
     swap t i !smallest;
     sift_down t !smallest
@@ -107,9 +114,6 @@ let remove t key =
   end
 
 let to_sorted_list t =
-  let members = ref [] in
-  for i = 0 to t.size - 1 do
-    let k = t.keys.(i) in
-    members := (k, t.prio.(k) *. t.sign) :: !members
-  done;
-  List.sort (fun (_, a) (_, b) -> compare (a *. t.sign) (b *. t.sign)) !members
+  List.init t.size (Array.get t.keys)
+  |> List.sort (fun a b -> if a = b then 0 else if before t a b then -1 else 1)
+  |> List.map (fun k -> (k, t.prio.(k) *. t.sign))

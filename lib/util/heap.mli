@@ -4,7 +4,12 @@
     once; its priority can be updated in O(log n), which is what the
     greedy-peeling solvers need (degree updates as neighbours leave the
     graph).  Use [Heap.max_heap] semantics by negating priorities at the
-    call site, or the dedicated [create ~max:true]. *)
+    call site, or the dedicated [create ~max:true].
+
+    Order: members pop by priority (lowest first, highest with
+    [~max:true]), and equal priorities pop the smaller key first.  The
+    pop sequence is therefore a function of the members and their
+    priorities alone, whatever sequence of operations built the heap. *)
 
 type t
 
@@ -37,4 +42,4 @@ val remove : t -> int -> bool
 (** [remove h k] removes [k] if present; returns whether it was. *)
 
 val to_sorted_list : t -> (int * float) list
-(** Non-destructive: members sorted by pop order. *)
+(** Non-destructive: members in pop order, i.e. by (priority, key). *)

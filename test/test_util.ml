@@ -118,6 +118,48 @@ let heap_pop_sorted =
       let popped = drain [] in
       popped = List.sort compare prios)
 
+(* Ties are the common case in the peeling solvers (many equal degrees),
+   so priorities come from a handful of values, and [add_to] sums of
+   them stay exact. *)
+let heap_tie_order =
+  let op = QCheck.(triple (int_range 0 3) (int_range 0 11) (int_range 0 3)) in
+  QCheck.Test.make ~name:"Heap pops and lists by (priority, key) after any operations"
+    ~count:300
+    QCheck.(pair bool (list_of_size Gen.(0 -- 60) op))
+    (fun (max, ops) ->
+      let values = [| -1.0; 0.0; 0.5; 2.0 |] in
+      let h = Heap.create ~max 12 in
+      let model = Hashtbl.create 12 in
+      List.iter
+        (fun (code, k, i) ->
+          let p = values.(i) in
+          match code with
+          | 0 ->
+              if not (Hashtbl.mem model k) then begin
+                Heap.insert h k p;
+                Hashtbl.replace model k p
+              end
+          | 1 ->
+              Heap.update h k p;
+              Hashtbl.replace model k p
+          | 2 ->
+              Heap.add_to h k p;
+              Hashtbl.replace model k
+                (match Hashtbl.find_opt model k with Some q -> q +. p | None -> p)
+          | _ ->
+              ignore (Heap.remove h k);
+              Hashtbl.remove model k)
+        ops;
+      let sign = if max then -1.0 else 1.0 in
+      let expected =
+        List.sort
+          (fun (ka, pa) (kb, pb) -> compare (sign *. pa, ka) (sign *. pb, kb))
+          (List.of_seq (Hashtbl.to_seq model))
+      in
+      let listed = Heap.to_sorted_list h in
+      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some e -> drain (e :: acc) in
+      listed = expected && drain [] = expected)
+
 let heap_update_reorders () =
   let h = Heap.create 3 in
   Heap.insert h 0 5.0;
@@ -242,6 +284,7 @@ let suite =
     qtest rng_sample_distinct;
     Alcotest.test_case "rng weighted index" `Quick rng_weighted_skips_zero;
     qtest heap_pop_sorted;
+    qtest heap_tie_order;
     Alcotest.test_case "heap update reorders" `Quick heap_update_reorders;
     Alcotest.test_case "heap add_to" `Quick heap_add_to;
     Alcotest.test_case "heap remove" `Quick heap_remove;
