@@ -47,7 +47,11 @@ val feasible : instance -> selection -> bool
 val peel : instance -> selection
 (** Charikar-style greedy peeling: start from everything, repeatedly
     drop the copy with the smallest per-copy weighted degree until [k]
-    copies remain. *)
+    copies remain.  Equal degrees drop the lower node id first.  Copies
+    of one node are dropped in a batch: a node's own degree does not
+    change as its copies go, so it stays the minimum until a
+    neighbour's falling degree passes it, and the result equals one
+    heap pop per copy, bit for bit. *)
 
 val greedy_add : instance -> selection
 (** Seed with the densest edge, then repeatedly add the copy with the

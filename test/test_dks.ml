@@ -8,8 +8,15 @@ module Exact = Bcc_dks.Exact
 module Dksh = Bcc_dks.Dksh
 module Densest = Bcc_dks.Densest
 module Rng = Bcc_util.Rng
+module Heap = Bcc_util.Heap
 
 let qtest = QCheck_alcotest.to_alcotest
+
+let count n =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> (
+      match int_of_string_opt s with Some c when c > 0 -> c | _ -> n)
+  | None -> n
 
 let value_of_bool_sel g sel = Graph.induced_weight g sel
 
@@ -76,6 +83,51 @@ let hks_quality () =
     (fun r -> Alcotest.(check bool) "every instance above 60% of optimal" true (r >= 0.6))
     ratios;
   Alcotest.(check bool) "average above 90% of optimal" true (avg >= 0.9)
+
+(* The reference [Hks.peel] must reproduce: one heap pop per dropped
+   copy, every live neighbour re-keyed on each pop. *)
+let peel_one_copy_at_a_time inst =
+  let g = Hks.graph inst and mult = Hks.multiplicities inst in
+  let pcw u v w = w /. (float_of_int mult.(u) *. float_of_int mult.(v)) in
+  let sel = Array.copy mult in
+  let total = ref (Hks.total_copies inst) in
+  let heap = Heap.create (Graph.n g) in
+  for v = 0 to Graph.n g - 1 do
+    Heap.insert heap v
+      (Graph.fold_neighbors g v (fun acc u w -> acc +. (pcw u v w *. float_of_int sel.(u))) 0.0)
+  done;
+  while !total > Hks.k inst do
+    match Heap.pop heap with
+    | None -> assert false
+    | Some (v, d) ->
+        sel.(v) <- sel.(v) - 1;
+        decr total;
+        Graph.iter_neighbors g v (fun u w ->
+            if Heap.mem heap u then Heap.add_to heap u (-.pcw u v w));
+        if sel.(v) > 0 then Heap.insert heap v d
+  done;
+  sel
+
+(* Few distinct weights and multiplicities make equal keys common;
+   repeated edges merge into summed weights. *)
+let peel_batches_exactly =
+  let case =
+    let open QCheck.Gen in
+    let* n = int_range 1 10 in
+    let* palette = list_size (int_range 1 3) (int_range 1 40) in
+    let* mult = array_size (return n) (oneof [ int_range 1 40; oneofl palette ]) in
+    let* edges =
+      list_size (int_range 0 (4 * n))
+        (triple (int_bound (n - 1)) (int_bound (n - 1)) (oneofl [ 0.5; 1.0; 3.0 ]))
+    in
+    let* k = int_range 0 (Array.fold_left ( + ) 0 mult) in
+    return (mult, List.filter (fun (u, v, _) -> u <> v) edges, k)
+  in
+  QCheck.Test.make ~name:"batched peel = one copy per pop, byte for byte" ~count:(count 500)
+    (QCheck.make ~print:QCheck.Print.(triple (array int) (list (triple int int float)) int) case)
+    (fun (mult, edges, k) ->
+      let inst = Hks.make ~mult (Graph.of_edges (Array.length mult) edges) ~k in
+      Hks.peel inst = peel_one_copy_at_a_time inst)
 
 let hks_k_extremes () =
   let g = Graph.of_edges 4 [ (0, 1, 1.0); (2, 3, 5.0) ] in
@@ -182,6 +234,7 @@ let suite =
     Alcotest.test_case "hks blow-up value scaling" `Quick hks_blowup_fractional_value;
     qtest hks_feasibility;
     qtest hks_local_search_improves;
+    qtest peel_batches_exactly;
     Alcotest.test_case "hks portfolio quality vs exact" `Slow hks_quality;
     Alcotest.test_case "hks k extremes" `Quick hks_k_extremes;
     Alcotest.test_case "spectral finds a planted clique" `Quick spectral_finds_planted_clique;
