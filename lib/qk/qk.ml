@@ -290,12 +290,15 @@ let full_pass cheap mult ~budget_ticks ~k =
   let n = Graph.n cheap in
   let hks = Hks.make ~mult cheap ~k:(max 1 k) in
   let sel = Hks.solve hks in
-  let score v =
-    let frac = float_of_int sel.(v) /. float_of_int mult.(v) in
-    (frac, degree_into_sel cheap mult sel v)
-  in
+  let frac = Array.init n (fun v -> float_of_int sel.(v) /. float_of_int mult.(v)) in
+  let degree = Array.init n (degree_into_sel cheap mult sel) in
   let order = Array.init n (fun v -> v) in
-  Array.sort (fun a b -> compare (score b) (score a)) order;
+  Array.sort
+    (fun a b ->
+      match Float.compare frac.(b) frac.(a) with
+      | 0 -> Float.compare degree.(b) degree.(a)
+      | c -> c)
+    order;
   let chosen = Array.make n false in
   let used = ref 0 in
   Array.iter
