@@ -272,6 +272,7 @@ let get_num = function
   | Num x -> Some x
   | Str "inf" -> Some infinity
   | Str "-inf" -> Some neg_infinity
+  | Str "nan" -> Some nan
   | _ -> None
 
 let get_bool = function Bool b -> Some b | _ -> None

@@ -62,6 +62,13 @@ let num_param ?(min = neg_infinity) req name fallback =
 
 let must_be_positive = "timeout_ms must be a positive number of milliseconds"
 
+(* [num_param] checks the query's budget; the body's is checked here, so
+   no negative or NaN budget reaches the solve cache key. *)
+let budget_param req body =
+  match num_param ~min:0.0 req "budget" (field "budget" Json.get_num body) with
+  | Ok (Some b) when not (b >= 0.0) -> Error {|"budget" must be a non-negative number|}
+  | r -> r
+
 let timeout req body =
   let positive ms = Float.is_finite ms && ms > 0.0 in
   match num_param req "timeout_ms" (field "timeout_ms" Json.get_num body) with
@@ -120,7 +127,7 @@ let compute (req : Http.request) endpoint body =
   ( Stateless (lazy (key ())),
     bad_request
       (let* source = source in
-       let* budget = num_param req "budget" (field "budget" Json.get_num body) in
+       let* budget = budget_param req body in
        let* target = num_param req "target" (field "target" Json.get_num body) in
        let* timeout = timeout req body in
        Ok (Compute { endpoint; source; budget; target }, timeout)) )

@@ -28,7 +28,8 @@ type source =
 type route =
   | Compute of
       { endpoint : endpoint; source : source; budget : float option; target : float option }
-      (** [?budget=]/[?target=] override the JSON body's fields *)
+      (** [?budget=]/[?target=] override the JSON body's fields; a
+          negative or NaN budget is rejected with 400 *)
   | Workload_put of { name : string; budget : float option; source : Bcc_store.Store.source }
   | Workload_delta of { name : string; log : bool; body : string }
       (** [log]: [?format=log], the body is a raw log tail *)

@@ -286,11 +286,7 @@ let handle_solve t ~endpoint ~source ~budget ~target ~timeout_ms =
       match (endpoint, target) with
       | Request.Gmc3, None -> Http.error_response 400 "gmc3 needs a \"target\" utility"
       | _ -> (
-          let inst =
-            match budget with
-            | Some b when b >= 0.0 -> Instance.with_budget inst b
-            | _ -> inst
-          in
+          let inst = match budget with Some b -> Instance.with_budget inst b | None -> inst in
           let key =
             Printf.sprintf "%s|%s|b=%s|t=%s" digest ep (fmt_opt budget) (fmt_opt target)
           in

@@ -73,6 +73,7 @@ let inline text = Request.Inline { text; digest = Lazy.from_val (md5 text) }
 let bad msg = Request.Reject (400, msg)
 let stateless key = Request.Stateless (Lazy.from_val key)
 let must_be_positive = bad "timeout_ms must be a positive number of milliseconds"
+let bad_budget = bad {|"budget" must be a non-negative number|}
 
 (* (request, route, placement).  The placement column is the cluster
    class a router gives the request: it follows the method and path, so
@@ -120,6 +121,14 @@ let routes =
      stateless ("i:" ^ md5 neither));
     (req "POST" "/solve?budget=abc" ~body:named, bad "bad ?budget=abc", stateless "n:fig");
     (req "POST" "/solve?target=inf" ~body:named, bad "bad ?target=inf", stateless "n:fig");
+    (* a budget is never negative or NaN, whether from the query or the body *)
+    (req "POST" "/solve?budget=-1" ~body:named, bad "bad ?budget=-1", stateless "n:fig");
+    (req "POST" "/gmc3" ~body:{|{"instance":"fig","budget":-1,"target":9}|}, bad_budget,
+     stateless "n:fig");
+    (req "POST" "/ecc" ~body:{|{"instance":"fig","budget":"nan"}|}, bad_budget,
+     stateless "n:fig");
+    (req "POST" "/solve?budget=4" ~body:{|{"instance":"fig","budget":-1}|}, solve (Some 4.0),
+     stateless "n:fig");
     (req "POST" "/solve?timeout_ms=abc" ~body:named, bad "bad ?timeout_ms=abc",
      stateless "n:fig");
     (req "POST" "/solve?timeout_ms=-5" ~body:named, must_be_positive, stateless "n:fig");
