@@ -110,14 +110,11 @@ let ig2 inst stop =
             List.iter
               (fun qi ->
                 let u = Instance.utility inst qi in
-                List.iter
-                  (fun c ->
-                    match Instance.classifier_id inst c with
-                    | Some cid ->
-                        sums.(cid) <- sums.(cid) -. u;
-                        if Heap.mem heap cid then Heap.update heap cid (ratio cid)
-                    | None -> ())
-                  (Propset.subsets (Instance.query inst qi)))
+                for k = Instance.subsets_begin inst qi to Instance.subsets_end inst qi - 1 do
+                  let cid = Instance.subset_id inst k in
+                  sums.(cid) <- sums.(cid) -. u;
+                  if Heap.mem heap cid then Heap.update heap cid (ratio cid)
+                done)
               newly;
             [ id ] (* already selected; run loop's select is idempotent *)
           end

@@ -1,63 +1,82 @@
 type candidate = { id : int; bits : int }
 
+let residual_target state qi = Cover.full_mask state qi land lnot (Cover.mask state qi)
+
 let candidates state ?(allowed = fun _ -> true) qi =
   let inst = Cover.instance state in
-  let q = Instance.query inst qi in
-  let residual = Cover.residual state qi in
-  let target = Propset.positions_in residual q in
+  let target = residual_target state qi in
   if target = 0 then ([], 0)
   else begin
     let out = ref [] in
-    List.iter
-      (fun c ->
-        match Instance.classifier_id inst c with
-        | Some id when (not (Cover.is_selected state id)) && allowed id ->
-            let bits = Propset.positions_in c q land target in
-            if bits <> 0 then out := { id; bits } :: !out
-        | _ -> ())
-      (Propset.subsets q);
+    for k = Instance.subsets_begin inst qi to Instance.subsets_end inst qi - 1 do
+      let id = Instance.subset_id inst k in
+      if (not (Cover.is_selected state id)) && allowed id then begin
+        let bits = Instance.subset_mask inst k land target in
+        if bits <> 0 then out := { id; bits } :: !out
+      end
+    done;
     (!out, target)
   end
 
-let cheapest_cover state ?allowed qi =
+let cheapest_cover state ?(allowed = fun _ -> true) qi =
   let inst = Cover.instance state in
-  let cands, target = candidates state ?allowed qi in
+  let target = residual_target state qi in
   if target = 0 then None
   else begin
-    let size = target + 1 in
-    let dp = Array.make size infinity in
-    let parent = Array.make size (-1, -1) in
+    (* The candidates of [candidates], in its (descending mask) order:
+       with the strict [<] below, that order picks among equal-cost
+       covers. *)
+    let lo = Instance.subsets_begin inst qi in
+    let hi = Instance.subsets_end inst qi in
+    let ids = Array.make (hi - lo) 0 in
+    let bits = Array.make (hi - lo) 0 in
+    let costs = Array.make (hi - lo) 0.0 in
+    let n = ref 0 in
+    for k = hi - 1 downto lo do
+      let id = Instance.subset_id inst k in
+      if (not (Cover.is_selected state id)) && allowed id then begin
+        let b = Instance.subset_mask inst k land target in
+        if b <> 0 then begin
+          ids.(!n) <- id;
+          bits.(!n) <- b;
+          costs.(!n) <- Instance.cost inst id;
+          incr n
+        end
+      end
+    done;
+    let dp = Array.make (target + 1) infinity in
+    (* via.(m): the candidate that last improved dp.(m); its predecessor
+       mask is [m land lnot bits.(via.(m))]. *)
+    let via = Array.make (target + 1) (-1) in
     dp.(0) <- 0.0;
-    let cands = Array.of_list cands in
     (* dp over submasks of [target]: because each transition ORs bits in,
        filling masks in ascending order with per-candidate relaxation
        from [m land lnot bits] is exact. *)
     for m = 1 to target do
       if m land target = m then
-        Array.iteri
-          (fun ci { id; bits } ->
-            if bits land m <> 0 then begin
-              let prev = m land lnot bits land target in
-              if dp.(prev) < infinity then begin
-                let c = dp.(prev) +. Instance.cost inst id in
-                if c < dp.(m) then begin
-                  dp.(m) <- c;
-                  parent.(m) <- (ci, prev)
-                end
+        for ci = 0 to !n - 1 do
+          if bits.(ci) land m <> 0 then begin
+            let prev = dp.(m land lnot bits.(ci)) in
+            if prev < infinity then begin
+              let c = prev +. costs.(ci) in
+              if c < dp.(m) then begin
+                dp.(m) <- c;
+                via.(m) <- ci
               end
-            end)
-          cands
+            end
+          end
+        done
     done;
     if dp.(target) = infinity then None
     else begin
-      let ids = ref [] in
+      let chosen = ref [] in
       let m = ref target in
       while !m <> 0 do
-        let ci, prev = parent.(!m) in
-        ids := cands.(ci).id :: !ids;
-        m := prev
+        let ci = via.(!m) in
+        chosen := ids.(ci) :: !chosen;
+        m := !m land lnot bits.(ci)
       done;
-      Some (dp.(target), List.sort_uniq compare !ids)
+      Some (dp.(target), List.sort_uniq Int.compare !chosen)
     end
   end
 

@@ -7,9 +7,11 @@
     construct" and are omitted from the universe (as in Example 2.1's
     [C(XY) = ∞]).
 
-    The instance also materializes the containment index — for every
-    classifier, which queries contain it — which every solver and
-    baseline in this library relies on. *)
+    The instance also materializes two indexes that every solver and
+    baseline in this library relies on: the per-query subset index —
+    for every query, its finite-cost classifiers — and its inverse, the
+    containment index — for every classifier, which queries contain
+    it. *)
 
 type t
 
@@ -23,7 +25,7 @@ val create :
   t
 (** Duplicate queries are merged (utilities summed); empty queries are
     dropped.  @raise Invalid_argument on a negative utility, negative
-    cost or negative budget. *)
+    cost or negative budget, or a query over 16 properties. *)
 
 val name : t -> string
 val names : t -> Symtab.t option
@@ -53,8 +55,29 @@ val cost_of : t -> Propset.t -> float
 (** [infinity] when the classifier is not in the universe. *)
 
 val queries_containing : t -> int -> int array
-(** Query ids whose property set contains the classifier — the
-    classifiers relevant to covering those queries. *)
+(** Query ids, ascending, whose property set contains the classifier —
+    the classifiers relevant to covering those queries. *)
+
+(** {1 Per-query subset index}
+
+    A query's relevant classifiers [CL_q] (Section 2.1) are its
+    finite-cost subsets.  They are listed once, at construction, in one
+    flat array: query [qi]'s entries sit at positions
+    [subsets_begin t qi] to [subsets_end t qi - 1], in ascending order
+    of their mask.  An entry's mask marks the query's sorted positions
+    the classifier holds (bit [i] is the [i]-th smallest property), the
+    same bitmask {!Cover.mask} keeps, so a cheapest-cover scan reads ids
+    and masks without building or hashing a subset.  Each entry packs
+    [(id lsl 16) lor mask]; the 16 mask bits suffice because
+    {!create} rejects a query over 16 properties. *)
+
+val subsets_begin : t -> int -> int
+val subsets_end : t -> int -> int
+val subset_id : t -> int -> int
+(** Classifier id of the entry at a position of the index. *)
+
+val subset_mask : t -> int -> int
+(** Non-zero position mask of the entry at a position of the index. *)
 
 (** {1 Derived instances} *)
 

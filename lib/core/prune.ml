@@ -50,12 +50,9 @@ let rule1 ?budget ?(mode = `Lossless) ?(deadline = Bcc_robust.Deadline.none) ins
           | None -> false
         in
         if affordable_at_all then
-          List.iter
-            (fun c ->
-              match Instance.classifier_id inst c with
-              | Some id -> keep.(id) <- true
-              | None -> ())
-            (Propset.subsets q)
+          for k = Instance.subsets_begin inst qi to Instance.subsets_end inst qi - 1 do
+            keep.(Instance.subset_id inst k) <- true
+          done
       end
     end
   done;

@@ -71,14 +71,13 @@ let mc3_improvement inst state options =
     let rev = ref [] in
     List.iter
       (fun qi ->
-        List.iter
-          (fun c ->
-            match Instance.classifier_id inst c with
-            | Some id when not (Hashtbl.mem seen id) ->
-                Hashtbl.add seen id ();
-                rev := id :: !rev
-            | _ -> ())
-          (Propset.subsets (Instance.query inst qi)))
+        for k = Instance.subsets_begin inst qi to Instance.subsets_end inst qi - 1 do
+          let id = Instance.subset_id inst k in
+          if not (Hashtbl.mem seen id) then begin
+            Hashtbl.add seen id ();
+            rev := id :: !rev
+          end
+        done)
       covered;
     let candidate_ids = Array.of_list (List.rev !rev) in
     let classifiers =
@@ -130,7 +129,6 @@ let greedy_sweep ?allowed state ~limit =
       | Some (r, _, _) -> Bcc_util.Heap.insert heap qi r
       | None -> ())
     (Cover.uncovered_queries state);
-  let parked = ref [] in
   let continue_ = ref true in
   while !continue_ do
     Deadline.poll ();
@@ -139,31 +137,28 @@ let greedy_sweep ?allowed state ~limit =
     | Some (qi, _) ->
         if not (Cover.is_covered state qi) then begin
           match ratio_of qi with
-          | None -> ()
-          | Some (r, cost, ids) ->
-              if cost <= limit -. (Cover.spent state -. spent0) +. 1e-9 then begin
-                List.iter (fun id -> Cover.select state id) ids;
-                (* Eagerly refresh the queries whose covers the new
-                   selections may have cheapened. *)
-                List.iter
-                  (fun id ->
-                    Array.iter
-                      (fun q ->
-                        if not (Cover.is_covered state q) then begin
-                          match ratio_of q with
-                          | Some (r', _, _) -> Bcc_util.Heap.update heap q r'
-                          | None -> ignore (Bcc_util.Heap.remove heap q)
-                        end)
-                      (Instance.queries_containing inst id))
-                  ids;
-                (* And give the parked queries another chance. *)
-                List.iter
-                  (fun (q, pr) ->
-                    if not (Bcc_util.Heap.mem heap q) then Bcc_util.Heap.insert heap q pr)
-                  !parked;
-                parked := []
-              end
-              else parked := (qi, r) :: !parked
+          | Some (_, cost, ids) when cost <= limit -. (Cover.spent state -. spent0) +. 1e-9 ->
+              List.iter (fun id -> Cover.select state id) ids;
+              (* Eagerly refresh the queries whose covers the new
+                 selections may have cheapened.  [Heap.update] also
+                 re-admits a query dropped below as unaffordable. *)
+              List.iter
+                (fun id ->
+                  Array.iter
+                    (fun q ->
+                      if not (Cover.is_covered state q) then begin
+                        match ratio_of q with
+                        | Some (r', _, _) -> Bcc_util.Heap.update heap q r'
+                        | None -> ignore (Bcc_util.Heap.remove heap q)
+                      end)
+                    (Instance.queries_containing inst id))
+                ids
+          | _ ->
+              (* Uncoverable, or unaffordable: its cover gets cheaper only
+                 through a purchase of a classifier it contains, whose
+                 refresh puts it back, and the remaining limit only
+                 shrinks. *)
+              ()
         end
   done;
   if Trace.recording sp then begin

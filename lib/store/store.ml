@@ -160,10 +160,7 @@ let materialize w =
   | Some inst when w.cached_epoch = w.epoch -> inst
   | _ ->
       Trace.with_span ~name:"store.materialize" @@ fun sp ->
-      let qs =
-        Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries []
-        |> List.sort (fun (a, _) (b, _) -> Propset.compare a b)
-      in
+      let qs = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries [] in
       let cost c =
         match Propset.Tbl.find_opt w.costs c with
         | Some x -> x

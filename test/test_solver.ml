@@ -7,12 +7,20 @@ module Solution = Bcc_core.Solution
 module Solver = Bcc_core.Solver
 module Exact = Bcc_core.Exact
 module Baselines = Bcc_core.Baselines
+module Cover = Bcc_core.Cover
+module Covers = Bcc_core.Covers
 module Knapsack = Bcc_knapsack.Knapsack
 module Graph = Bcc_graph.Graph
+module Heap = Bcc_util.Heap
 module Rng = Bcc_util.Rng
 
 let qtest = QCheck_alcotest.to_alcotest
 let ps = Fixtures.ps
+
+let count n =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some s -> ( match int_of_string_opt s with Some c when c > 0 -> c | _ -> n)
+  | None -> n
 
 let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12; 13; 14; 15 ]
 
@@ -181,6 +189,213 @@ let theorem_33_dks_equivalence =
         abs_float (bcc.Solution.utility -. dks) < 1e-9
       end)
 
+(* --- the ratio-greedy sweep and IG2 against their references --- *)
+
+(* [Solver.greedy_sweep] as it read with a parked list: a query whose
+   cover does not fit waits in [parked] and every purchase re-inserts
+   all parked queries at their old ratio.  Returns how many parked
+   queries purchases re-inserted. *)
+let reference_sweep ?allowed state ~limit =
+  let inst = Cover.instance state in
+  let spent0 = Cover.spent state in
+  let heap = Heap.create ~max:true (Instance.num_queries inst) in
+  let ratio_of qi =
+    match Covers.cheapest_cover ?allowed state qi with
+    | None -> None
+    | Some (cost, ids) ->
+        let u = Instance.utility inst qi in
+        Some ((if cost <= 1e-12 then infinity else u /. cost), cost, ids)
+  in
+  List.iter
+    (fun qi -> match ratio_of qi with Some (r, _, _) -> Heap.insert heap qi r | None -> ())
+    (Cover.uncovered_queries state);
+  let parked = ref [] in
+  let reinserted = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    match Heap.pop heap with
+    | None -> continue_ := false
+    | Some (qi, _) ->
+        if not (Cover.is_covered state qi) then begin
+          match ratio_of qi with
+          | None -> ()
+          | Some (r, cost, ids) ->
+              if cost <= limit -. (Cover.spent state -. spent0) +. 1e-9 then begin
+                List.iter (fun id -> Cover.select state id) ids;
+                List.iter
+                  (fun id ->
+                    Array.iter
+                      (fun q ->
+                        if not (Cover.is_covered state q) then begin
+                          match ratio_of q with
+                          | Some (r', _, _) -> Heap.update heap q r'
+                          | None -> ignore (Heap.remove heap q)
+                        end)
+                      (Instance.queries_containing inst id))
+                  ids;
+                List.iter
+                  (fun (q, pr) ->
+                    if not (Heap.mem heap q) then begin
+                      incr reinserted;
+                      Heap.insert heap q pr
+                    end)
+                  !parked;
+                parked := []
+              end
+              else parked := (qi, r) :: !parked
+        end
+  done;
+  !reinserted
+
+(* Sweep inputs: up to 40 queries of up to 3 properties over 20, about
+   one classifier in twelve free; the free ones and a random few more
+   already selected, a limit up to an eighth of the universe's cost (so
+   covers often do not fit), and sometimes an [allowed] filter. *)
+let sweep_case seed =
+  let rng = Rng.create ((seed * 7) + 3) in
+  let inst =
+    Fixtures.random_instance ~seed ~max_len:3 ~num_props:20
+      ~num_queries:(1 + Rng.int rng 40) ~budget:1.0 ()
+  in
+  let n = Instance.num_classifiers inst in
+  let state = Cover.create inst in
+  for id = 0 to n - 1 do
+    if Instance.cost inst id <= 0.0 || Rng.int rng 10 = 0 then Cover.select state id
+  done;
+  let total = ref 0.0 in
+  for id = 0 to n - 1 do
+    total := !total +. Instance.cost inst id
+  done;
+  let limit = Rng.float rng (!total /. 8.0) in
+  let keep = Array.init n (fun _ -> Rng.int rng 4 > 0) in
+  let allowed = if Rng.int rng 2 = 0 then None else Some (fun id -> keep.(id)) in
+  (state, limit, allowed)
+
+let sweep_matches_reference =
+  QCheck.Test.make ~name:"greedy_sweep = parked-list reference" ~count:(count 300)
+    QCheck.small_int (fun seed ->
+      let state, limit, allowed = sweep_case seed in
+      let a = Cover.clone state and b = Cover.clone state in
+      Solver.greedy_sweep ?allowed a ~limit;
+      ignore (reference_sweep ?allowed b ~limit);
+      Cover.selected a = Cover.selected b)
+
+(* The property above is only as strong as its inputs: they must make
+   the reference park queries and re-insert them. *)
+let sweep_cases_park () =
+  let reinserting = ref 0 in
+  for seed = 0 to 99 do
+    let state, limit, allowed = sweep_case seed in
+    if reference_sweep ?allowed state ~limit > 0 then incr reinserting
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "parked queries re-inserted in %d of 100 cases" !reinserting)
+    true (!reinserting >= 20)
+
+(* [Baselines.ig2] as it read before the per-query subset index: a
+   newly covered query's classifiers are found by building each subset
+   and looking it up by set.  The run loop is [Baselines]' own. *)
+let reference_ig2 inst stop =
+  let n = Instance.num_classifiers inst in
+  let sums = Array.make n 0.0 in
+  for id = 0 to n - 1 do
+    Array.iter
+      (fun qi -> sums.(id) <- sums.(id) +. Instance.utility inst qi)
+      (Instance.queries_containing inst id)
+  done;
+  let ratio id =
+    let c = Instance.cost inst id in
+    if c <= 1e-12 then if sums.(id) > 0.0 then infinity else 0.0 else sums.(id) /. c
+  in
+  let heap = Heap.create ~max:true n in
+  for id = 0 to n - 1 do
+    Heap.insert heap id (ratio id)
+  done;
+  let step state remaining =
+    let rec pick () =
+      match Heap.pop heap with
+      | None -> []
+      | Some (id, _) ->
+          if Cover.is_selected state id then pick ()
+          else if Instance.cost inst id > remaining then pick ()
+          else if ratio id <= 0.0 then []
+          else begin
+            let newly = Cover.select_traced state id in
+            List.iter
+              (fun qi ->
+                let u = Instance.utility inst qi in
+                List.iter
+                  (fun c ->
+                    match Instance.classifier_id inst c with
+                    | Some cid ->
+                        sums.(cid) <- sums.(cid) -. u;
+                        if Heap.mem heap cid then Heap.update heap cid (ratio cid)
+                    | None -> ())
+                  (Propset.subsets (Instance.query inst qi)))
+              newly;
+            [ id ]
+          end
+    in
+    pick ()
+  in
+  let state = Cover.create inst in
+  let budget = match stop with Baselines.Budget -> Instance.budget inst | _ -> infinity in
+  let best_ratio = ref 0.0 in
+  let best_prefix = ref [] in
+  let continue_ = ref true in
+  while !continue_ do
+    (match stop with
+    | Baselines.Target target when Cover.covered_utility state >= target -> continue_ := false
+    | Baselines.Best_ratio when Cover.covered_count state = Instance.num_queries inst ->
+        continue_ := false
+    | _ -> ());
+    if !continue_ then begin
+      match step state (budget -. Cover.spent state) with
+      | [] -> continue_ := false
+      | ids ->
+          List.iter (fun id -> Cover.select state id) ids;
+          if stop = Baselines.Best_ratio then begin
+            let spent = Cover.spent state in
+            let covered = Cover.covered_utility state in
+            let ratio =
+              if spent > 1e-12 then covered /. spent
+              else if covered > 0.0 then infinity
+              else 0.0
+            in
+            if ratio > !best_ratio then begin
+              best_ratio := ratio;
+              best_prefix := Cover.selected state
+            end
+          end
+    end
+  done;
+  Solution.of_ids inst
+    (match stop with Baselines.Best_ratio -> !best_prefix | _ -> Cover.selected state)
+
+let ig2_matches_reference =
+  QCheck.Test.make ~name:"IG2 = subset-enumerating reference" ~count:(count 300)
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed * 5 + 1) in
+      let inst =
+        Fixtures.random_instance ~seed ~max_len:4 ~num_props:7
+          ~num_queries:(1 + Rng.int rng 12)
+          ~budget:(float_of_int (Rng.int rng 30))
+          ()
+      in
+      List.for_all
+        (fun stop ->
+          let a = Baselines.ig2 inst stop and b = reference_ig2 inst stop in
+          List.equal Propset.equal a.Solution.classifiers b.Solution.classifiers
+          && Int64.equal (Int64.bits_of_float a.Solution.cost) (Int64.bits_of_float b.Solution.cost)
+          && Int64.equal
+               (Int64.bits_of_float a.Solution.utility)
+               (Int64.bits_of_float b.Solution.utility))
+        [
+          Baselines.Budget;
+          Baselines.Target (Instance.total_utility inst /. 2.0);
+          Baselines.Best_ratio;
+        ])
+
 (* --- baselines behaviour --- *)
 
 let rand_deterministic_by_seed () =
@@ -241,4 +456,7 @@ let suite =
     Alcotest.test_case "RAND deterministic by seed" `Quick rand_deterministic_by_seed;
     Alcotest.test_case "greedy baselines on figure1" `Quick ig_baselines_reasonable;
     Alcotest.test_case "best-ratio mode terminates" `Quick baselines_exhaust_mode_terminates;
+    qtest sweep_matches_reference;
+    Alcotest.test_case "sweep reference inputs park queries" `Quick sweep_cases_park;
+    qtest ig2_matches_reference;
   ]
