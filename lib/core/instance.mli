@@ -23,9 +23,40 @@ val create :
   cost:(Propset.t -> float) ->
   unit ->
   t
-(** Duplicate queries are merged (utilities summed); empty queries are
-    dropped.  @raise Invalid_argument on a negative utility, negative
-    cost or negative budget, or a query over 16 properties. *)
+(** Duplicate queries are merged (utilities summed in input order);
+    empty queries are dropped.  This is {!derive} of the empty instance:
+    there is one build, so a created and a derived instance with the
+    same content are equal field for field.
+    @raise Invalid_argument on a negative utility, negative cost or
+    negative budget, or a query over 16 properties. *)
+
+val derive :
+  ?name:string ->
+  t ->
+  budget:float ->
+  changes:(Propset.t * float option) list ->
+  repriced:Propset.t list ->
+  cost:(Propset.t -> float) ->
+  t
+(** [derive t ~budget ~changes ~repriced ~cost] is the instance
+    {!create} would build from [t]'s queries and utilities with
+    [changes] applied, under [budget] and [cost]: the same queries,
+    classifier ids, costs and indexes, bit for bit.  [Some u] sets a
+    query's utility, adding the query if [t] lacks it; [None] removes
+    it.  A set listed twice keeps its last change; the empty set is
+    ignored.  [name] defaults to [t]'s, and the symbol table is [t]'s.
+
+    Precondition: [cost] prices every set outside [repriced] as [t]'s
+    oracle did (strictly, every subset of [t]'s queries: the only sets
+    [t] priced).  The build leans on it: a query [t] holds keeps its
+    subset entries and their costs, re-pricing only its classifiers in
+    [repriced] and listing its subsets again only when a re-priced set
+    that was infinite turns finite inside it; new queries consult
+    [cost] as {!create} does.  Its work is linear in [t]'s index plus
+    the subsets of the changed queries: it hashes no query it holds,
+    sorts only [changes], and rehashes the classifiers only when their
+    numbering moved.
+    @raise Invalid_argument as {!create} does. *)
 
 val name : t -> string
 val names : t -> Symtab.t option

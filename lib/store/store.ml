@@ -65,6 +65,11 @@ type workload = {
   mutable epoch : int;
   mutable cached : Instance.t option;
   mutable cached_epoch : int;
+  (* What the deltas since [cached] changed: query sets whose utility
+     was set or that were removed, and classifier sets re-priced.  The
+     next [materialize] derives the epoch's instance from them. *)
+  touched : unit Propset.Tbl.t;
+  repriced : unit Propset.Tbl.t;
   mutable last : solved option;  (* info field is stale; refreshed on access *)
   mutable warm_ratio : float option;
   mutable jfd : Unix.file_descr option;
@@ -155,30 +160,46 @@ let prop_name w p = Symtab.name w.names p
 let props_string w set =
   String.concat ";" (List.map (prop_name w) (Propset.to_list set))
 
+(* An epoch's instance is derived from the last one built, through the
+   sets its deltas touched; with none to start from (a log put, or a
+   replay) it is built from the whole workload. *)
 let materialize w =
   match w.cached with
   | Some inst when w.cached_epoch = w.epoch -> inst
-  | _ ->
+  | prev ->
       Trace.with_span ~name:"store.materialize" @@ fun sp ->
-      let qs = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries [] in
+      let name = Printf.sprintf "%s@%d" w.wname w.epoch in
       let cost c =
         match Propset.Tbl.find_opt w.costs c with
         | Some x -> x
         | None -> ( match w.oracle with Some f -> f c | None -> infinity)
       in
+      let changed = Propset.Tbl.length w.touched + Propset.Tbl.length w.repriced in
       let inst =
-        Instance.create
-          ~name:(Printf.sprintf "%s@%d" w.wname w.epoch)
-          ~names:w.names ~budget:w.budget
-          ~queries:(Array.of_list qs)
-          ~cost ()
+        match prev with
+        | Some prev ->
+            let changes =
+              Propset.Tbl.fold
+                (fun q () acc -> (q, Propset.Tbl.find_opt w.queries q) :: acc)
+                w.touched []
+            in
+            let repriced = Propset.Tbl.fold (fun c () acc -> c :: acc) w.repriced [] in
+            Instance.derive ~name prev ~budget:w.budget ~changes ~repriced ~cost
+        | None ->
+            let qs = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) w.queries [] in
+            Instance.create ~name ~names:w.names ~budget:w.budget ~queries:(Array.of_list qs)
+              ~cost ()
       in
+      Propset.Tbl.reset w.touched;
+      Propset.Tbl.reset w.repriced;
       w.cached <- Some inst;
       w.cached_epoch <- w.epoch;
       if Trace.recording sp then begin
         Trace.add_attr sp "workload" (Trace.Str w.wname);
         Trace.add_attr sp "epoch" (Trace.Int w.epoch);
-        Trace.add_attr sp "queries" (Trace.Int (Instance.num_queries inst))
+        Trace.add_attr sp "queries" (Trace.Int (Instance.num_queries inst));
+        Trace.add_attr sp "derived" (Trace.Bool (Option.is_some prev));
+        Trace.add_attr sp "changed" (Trace.Int changed)
       end;
       inst
 
@@ -217,19 +238,25 @@ let validate_ops ops =
 
 let apply_ops w ops =
   let intern ps = Propset.of_list (List.map (Symtab.intern w.names) ps) in
+  let touch ps =
+    let q = intern ps in
+    Propset.Tbl.replace w.touched q ();
+    q
+  in
   List.iter
     (fun (op : Delta.op) ->
       Deadline.poll ();
       match op with
       | Delta.Set_budget b -> w.budget <- b
-      | Delta.Upsert (ps, u) -> Propset.Tbl.replace w.queries (intern ps) u
+      | Delta.Upsert (ps, u) -> Propset.Tbl.replace w.queries (touch ps) u
       | Delta.Add (ps, u) ->
-          let q = intern ps in
+          let q = touch ps in
           let prev = Option.value ~default:0.0 (Propset.Tbl.find_opt w.queries q) in
           Propset.Tbl.replace w.queries q (prev +. u)
-      | Delta.Remove ps -> Propset.Tbl.remove w.queries (intern ps)
+      | Delta.Remove ps -> Propset.Tbl.remove w.queries (touch ps)
       | Delta.Set_cost (ps, c) ->
           let s = intern ps in
+          Propset.Tbl.replace w.repriced s ();
           if Float.is_finite c then Propset.Tbl.replace w.costs s c
           else Propset.Tbl.remove w.costs s)
     ops
@@ -252,6 +279,8 @@ let build_state ~name ?budget source =
       epoch = 0;
       cached = None;
       cached_epoch = -1;
+      touched = Propset.Tbl.create 16;
+      repriced = Propset.Tbl.create 16;
       last = None;
       warm_ratio = None;
       jfd = None;
@@ -395,6 +424,8 @@ let parse_snapshot ~file text =
           epoch;
           cached = None;
           cached_epoch = -1;
+          touched = Propset.Tbl.create 16;
+          repriced = Propset.Tbl.create 16;
           last = None;
           warm_ratio = None;
           jfd = None;
@@ -835,7 +866,6 @@ let delta t ~name ops =
           };
         apply_ops w ops;
         w.epoch <- w.epoch + 1;
-        w.cached <- None;
         evict_artifacts t w ops;
         Atomic.incr t.epochs;
         maybe_compact t w;

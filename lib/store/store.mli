@@ -7,8 +7,10 @@
     search logs drift continuously (utilities are search counts,
     Section 6.1), so the instance a solve sees is always "the workload
     as of epoch [e]".  The materialized {!Bcc_core.Instance.t} is cached
-    per epoch; queries are ordered by {!Bcc_core.Propset.compare} so a
-    replayed workload materializes bit-identically.
+    per epoch and derived from the previous epoch's through the sets its
+    deltas touched ({!Bcc_core.Instance.derive}), equal field for field
+    to a full rebuild; queries are ordered by {!Bcc_core.Propset.compare}
+    so a replayed workload materializes bit-identically.
 
     {2 Persistence}
 

@@ -73,3 +73,86 @@ let random_graph ~seed ~n ~density ~max_cost ~max_weight =
     done
   done;
   Bcc_graph.Graph.build b
+
+(* An instance seen through its accessors, for comparing two builds bit
+   for bit.  [id_of] stands for [Instance.classifier_id]. *)
+type view = {
+  name : string;
+  budget : float;
+  queries : Propset.t array;
+  utilities : float array;
+  classifiers : Propset.t array;
+  costs : float array;
+  id_of : Propset.t -> int option;
+  subsets : int array;  (* (id lsl 16) lor mask, as the index packs them *)
+  subsets_start : int array;
+  containing : int array array;
+  num_properties : int;
+  max_length : int;
+}
+
+let view inst =
+  let nq = Instance.num_queries inst and ncl = Instance.num_classifiers inst in
+  let n_entries = if nq = 0 then 0 else Instance.subsets_end inst (nq - 1) in
+  {
+    name = Instance.name inst;
+    budget = Instance.budget inst;
+    queries = Array.init nq (Instance.query inst);
+    utilities = Array.init nq (Instance.utility inst);
+    classifiers = Array.init ncl (Instance.classifier inst);
+    costs = Array.init ncl (Instance.cost inst);
+    id_of = Instance.classifier_id inst;
+    subsets =
+      Array.init n_entries (fun k ->
+          (Instance.subset_id inst k lsl 16) lor Instance.subset_mask inst k);
+    subsets_start =
+      Array.init (nq + 1) (fun qi -> if qi = nq then n_entries else Instance.subsets_begin inst qi);
+    containing = Array.init ncl (Instance.queries_containing inst);
+    num_properties = Instance.num_properties inst;
+    max_length = Instance.max_length inst;
+  }
+
+(* The first accessor on which two views differ, or [None].  Floats
+   compare bit for bit, so -0.0 differs from 0.0; [probes] are the sets
+   whose classifier id (and hence [cost_of]) must agree as well. *)
+let view_diff ~probes (a : view) (b : view) =
+  let same_floats x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) x y
+  in
+  let sets x y = Array.length x = Array.length y && Array.for_all2 Propset.equal x y in
+  let checks =
+    [
+      ("name", a.name = b.name);
+      ("budget", same_floats [| a.budget |] [| b.budget |]);
+      ("queries", sets a.queries b.queries);
+      ("utilities", same_floats a.utilities b.utilities);
+      ("classifiers", sets a.classifiers b.classifiers);
+      ("costs", same_floats a.costs b.costs);
+      ("subset index", a.subsets = b.subsets && a.subsets_start = b.subsets_start);
+      ("containment index", a.containing = b.containing);
+      ("num_properties", a.num_properties = b.num_properties);
+      ("max_length", a.max_length = b.max_length);
+    ]
+  in
+  match List.find_opt (fun (_, ok) -> not ok) checks with
+  | Some (what, _) -> Some what
+  | None ->
+      List.find_map
+        (fun c ->
+          if a.id_of c = b.id_of c then None
+          else Some ("classifier_id " ^ Propset.to_string c))
+        probes
+
+(* Every non-empty subset of the views' queries and every classifier:
+   the sets whose lookup a build decides. *)
+let probes views =
+  let tbl = Propset.Tbl.create 64 in
+  List.iter
+    (fun (v : view) ->
+      Array.iter
+        (fun q -> List.iter (fun c -> Propset.Tbl.replace tbl c ()) (Propset.subsets q))
+        v.queries;
+      Array.iter (fun c -> Propset.Tbl.replace tbl c ()) v.classifiers)
+    views;
+  Propset.Tbl.fold (fun c () acc -> c :: acc) tbl []

@@ -127,6 +127,216 @@ let containment_index_sound =
       done;
       !ok)
 
+(* --- derive = create --- *)
+
+(* The instance build as it stood before [Instance.derive]: merge in a
+   hash table, sort, then walk every query's subsets.  Every created and
+   derived instance is checked against it, accessor by accessor. *)
+let reference_build ~name ~budget ~queries ~cost : Fixtures.view =
+  let merged = Propset.Tbl.create (max (Array.length queries) 16) in
+  Array.iter
+    (fun (q, u) ->
+      if not (Propset.is_empty q) then begin
+        let prev = try Propset.Tbl.find merged q with Not_found -> 0.0 in
+        Propset.Tbl.replace merged q (prev +. u)
+      end)
+    queries;
+  let qlist = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) merged [] in
+  let qlist = List.sort (fun (a, _) (b, _) -> Propset.compare a b) qlist in
+  let queries = Array.of_list (List.map fst qlist) in
+  let utilities = Array.of_list (List.map snd qlist) in
+  let nq = Array.length queries in
+  let ids = Propset.Tbl.create (4 * max nq 16) in
+  let rev_entries = ref [] in
+  let next_id = ref 0 in
+  let subsets =
+    Array.make
+      (Array.fold_left (fun acc q -> acc + (1 lsl min 16 (Propset.length q)) - 1) 0 queries)
+      0
+  in
+  let subsets_start = Array.make (nq + 1) 0 in
+  let n_entries = ref 0 in
+  Array.iteri
+    (fun qi q ->
+      subsets_start.(qi) <- !n_entries;
+      List.iteri
+        (fun i c ->
+          let id =
+            match Propset.Tbl.find_opt ids c with
+            | Some id -> id
+            | None ->
+                let cl_cost = cost c in
+                if cl_cost = infinity then begin
+                  Propset.Tbl.add ids c (-1);
+                  -1
+                end
+                else begin
+                  let id = !next_id in
+                  incr next_id;
+                  Propset.Tbl.add ids c id;
+                  rev_entries := (c, cl_cost) :: !rev_entries;
+                  id
+                end
+          in
+          if id >= 0 then begin
+            subsets.(!n_entries) <- (id lsl 16) lor (i + 1);
+            incr n_entries
+          end)
+        (Propset.subsets q))
+    queries;
+  subsets_start.(nq) <- !n_entries;
+  let subsets = Array.sub subsets 0 !n_entries in
+  let entries = Array.of_list (List.rev !rev_entries) in
+  let n_cl = Array.length entries in
+  let fill = Array.make n_cl 0 in
+  Array.iter (fun e -> fill.(e lsr 16) <- fill.(e lsr 16) + 1) subsets;
+  let containing = Array.map (fun n -> Array.make n 0) fill in
+  for qi = nq - 1 downto 0 do
+    for k = subsets_start.(qi) to subsets_start.(qi + 1) - 1 do
+      let id = subsets.(k) lsr 16 in
+      fill.(id) <- fill.(id) - 1;
+      containing.(id).(fill.(id)) <- qi
+    done
+  done;
+  let props = Hashtbl.create 256 in
+  Array.iter (fun q -> Propset.iter (fun p -> Hashtbl.replace props p ()) q) queries;
+  {
+    Fixtures.name;
+    budget;
+    queries;
+    utilities;
+    classifiers = Array.map fst entries;
+    costs = Array.map snd entries;
+    id_of =
+      (fun c ->
+        match Propset.Tbl.find_opt ids c with Some id when id >= 0 -> Some id | _ -> None);
+    subsets;
+    subsets_start;
+    containing;
+    num_properties = Hashtbl.length props;
+    max_length = Array.fold_left (fun acc q -> max acc (Propset.length q)) 0 queries;
+  }
+
+(* A random walk over instance content: each step applies a batch of
+   changes and re-prices to a model, derives the next instance from the
+   last, and checks it — and a fresh [create] of the model — against the
+   reference.  Properties are drawn from 0..6, so every set the builds
+   can decide is among the 127 probed. *)
+let derive_walk ~seed ~steps =
+  let rng = Rng.create (0xd371 lxor seed) in
+  let universe = 7 in
+  let probes =
+    List.init ((1 lsl universe) - 1) (fun m ->
+        Propset.of_list
+          (List.filter (fun p -> (m + 1) land (1 lsl p) <> 0) (List.init universe Fun.id)))
+  in
+  let random_set () =
+    let k = 1 + Rng.int rng 4 in
+    Propset.of_array (Rng.sample_without_replacement rng k universe)
+  in
+  let utilities = [| 0.0; -0.0; 1.0; 2.5; 7.0; 0.1; 12.0 |] in
+  let prices = [| 0.0; 1.0; 1.5; 3.0; 4.0; infinity |] in
+  let salt = Rng.int rng 1000 in
+  (* The oracle: explicit prices over a hashed base that has zeros and
+     infinities of its own. *)
+  let base c =
+    match ((Propset.hash c * 31) + salt) land 0xff mod 7 with
+    | 0 -> 0.0
+    | 1 | 2 -> infinity
+    | k -> float_of_int k
+  in
+  let oracle explicit c =
+    match Propset.Tbl.find_opt explicit c with Some x -> x | None -> base c
+  in
+  let content = Propset.Tbl.create 16 in
+  for _ = 1 to Rng.int rng 10 do
+    Propset.Tbl.replace content (random_set ()) (Rng.choose rng utilities)
+  done;
+  let explicit = ref (Propset.Tbl.create 16) in
+  let as_queries () = Propset.Tbl.fold (fun q u acc -> (q, u) :: acc) content [] |> Array.of_list in
+  let check what inst ~name ~budget =
+    let queries = as_queries () in
+    let expected = reference_build ~name ~budget ~queries ~cost:(oracle !explicit) in
+    match Fixtures.view_diff ~probes (Fixtures.view inst) expected with
+    | None -> ()
+    | Some field -> QCheck.Test.fail_reportf "seed %d, %s: %s differs" seed what field
+  in
+  (* [create] sees duplicates and an empty query as well. *)
+  let create budget =
+    let extra =
+      List.filter_map
+        (fun (q, _) -> if Rng.int rng 3 = 0 then Some (q, Rng.choose rng [| 0.0; -0.0 |]) else None)
+        (Array.to_list (as_queries ()))
+    in
+    let queries = Array.append (as_queries ()) (Array.of_list ((Propset.empty, 1.0) :: extra)) in
+    Rng.shuffle rng queries;
+    let inst = Instance.create ~name:"walk" ~budget ~queries ~cost:(oracle !explicit) () in
+    let expected = reference_build ~name:"walk" ~budget ~queries ~cost:(oracle !explicit) in
+    match Fixtures.view_diff ~probes (Fixtures.view inst) expected with
+    | None -> inst
+    | Some field -> QCheck.Test.fail_reportf "seed %d, create: %s differs" seed field
+  in
+  let inst = ref (create 10.0) in
+  for step = 1 to steps do
+    let held = as_queries () in
+    let pick_held () = fst (Rng.choose rng held) in
+    let changes =
+      List.init (1 + Rng.int rng 5) (fun _ ->
+          match Rng.int rng 7 with
+          | 0 | 1 -> (random_set (), Some (Rng.choose rng utilities))
+          | 2 when held <> [||] -> (pick_held (), Some (Rng.choose rng utilities))
+          | 3 when held <> [||] -> (pick_held (), None)
+          | 4 when Instance.num_classifiers !inst > 0 ->
+              (* The last query holding some classifier, when there is one. *)
+              let id = Rng.int rng (Instance.num_classifiers !inst) in
+              let holders = Instance.queries_containing !inst id in
+              let qi = holders.(Array.length holders - 1) in
+              (Instance.query !inst qi, if Array.length holders = 1 then None else Some 1.0)
+          | 5 -> (Propset.empty, Some 3.0)
+          | _ -> (random_set (), None))
+    in
+    let repriced =
+      List.init (Rng.int rng 4) (fun _ ->
+          match Rng.int rng 3 with
+          | 0 when Instance.num_classifiers !inst > 0 ->
+              Instance.classifier !inst (Rng.int rng (Instance.num_classifiers !inst))
+          | 1 when held <> [||] -> Rng.choose rng (Array.of_list (Propset.subsets (pick_held ())))
+          | _ -> random_set ())
+    in
+    let next = Propset.Tbl.copy !explicit in
+    List.iter (fun c -> Propset.Tbl.replace next c (Rng.choose rng prices)) repriced;
+    explicit := next;
+    List.iter
+      (fun (q, change) ->
+        if not (Propset.is_empty q) then
+          match change with
+          | Some u -> Propset.Tbl.replace content q (0.0 +. u)
+          | None -> Propset.Tbl.remove content q)
+      changes;
+    let budget = float_of_int (Rng.int rng 20) in
+    let name = if Rng.bool rng then Some (Printf.sprintf "walk@%d" step) else None in
+    let expected_name = Option.value name ~default:(Instance.name !inst) in
+    inst := Instance.derive ?name !inst ~budget ~changes ~repriced ~cost:(oracle !explicit);
+    check (Printf.sprintf "step %d derive" step) !inst ~name:expected_name ~budget;
+    if step mod 5 = 0 then ignore (create budget)
+  done;
+  true
+
+let derive_matches_create =
+  QCheck.Test.make ~name:"derive and create match the reference build" ~count:(count 60)
+    QCheck.int (fun seed -> derive_walk ~seed ~steps:25)
+
+let derive_rejects_negative () =
+  let inst = Fixtures.figure1 ~budget:11.0 in
+  Alcotest.check_raises "negative utility"
+    (Invalid_argument "Instance.derive: negative utility") (fun () ->
+      ignore
+        (Instance.derive inst ~budget:1.0 ~changes:[ (ps [ 0 ], Some (-1.0)) ] ~repriced:[]
+           ~cost:(fun _ -> 1.0)));
+  Alcotest.check_raises "negative budget" (Invalid_argument "Instance.derive: negative budget")
+    (fun () ->
+      ignore (Instance.derive inst ~budget:(-1.0) ~changes:[] ~repriced:[] ~cost:(fun _ -> 1.0)))
+
 (* --- Cover --- *)
 
 let cover_incremental_matches_oracle =
@@ -438,6 +648,9 @@ let suite =
     Alcotest.test_case "instance rejects a query over 16 properties" `Quick
       instance_rejects_long_query;
     qtest containment_index_sound;
+    qtest derive_matches_create;
+    Alcotest.test_case "derive rejects a negative utility or budget" `Quick
+      derive_rejects_negative;
     qtest cover_incremental_matches_oracle;
     Alcotest.test_case "coverage is exact-union" `Quick cover_exact_union_semantics;
     Alcotest.test_case "residuals shrink" `Quick cover_residual_shrinks;

@@ -196,7 +196,11 @@ let cancelled_batch_runs_nothing jobs () =
    Task 2 cancels the deadline; tasks 3+ block on [gate] until the
    cancel is visible, so a worker can be *in* a late task when the axe
    falls (it finishes) but can never claim more than one afterwards —
-   the executed count is bounded by the in-flight window, not luck. *)
+   the executed count is bounded by the in-flight window, not luck.
+   Tasks are claimed in index order, so tasks 0 and 1 are claimed
+   before task 2 runs, but a runner may not have started one yet; task
+   2 waits until three tasks have started, or the cancel would make
+   that runner skip it as expired. *)
 let midbatch_cancellation jobs () =
   with_pool jobs (fun pool ->
       let ran = Atomic.make 0 in
@@ -209,6 +213,9 @@ let midbatch_cancellation jobs () =
                 Engine.Task.make ~label:(Printf.sprintf "m%d" i) (fun _ ->
                     Atomic.incr ran;
                     if i = 2 then begin
+                      while Atomic.get ran < 3 do
+                        Domain.cpu_relax ()
+                      done;
                       Deadline.cancel d;
                       Atomic.set gate true
                     end

@@ -366,6 +366,191 @@ let solution_codec () =
   | _ -> Alcotest.fail "malformed select line accepted"
   | exception Failure _ -> ()
 
+(* --- qcheck: derived epochs = full builds --- *)
+
+(* What a workload holds, keyed by property names: the model every epoch
+   the store derives is checked against. *)
+type model = {
+  m_queries : (string list, float) Hashtbl.t;
+  m_costs : (string list, float) Hashtbl.t;  (* explicit prices *)
+  mutable m_budget : float;
+}
+
+let model_apply m ops =
+  List.iter
+    (fun (op : Delta.op) ->
+      match op with
+      | Delta.Set_budget b -> m.m_budget <- b
+      | Delta.Upsert (ps, u) -> Hashtbl.replace m.m_queries (List.sort compare ps) u
+      | Delta.Add (ps, u) ->
+          let q = List.sort compare ps in
+          let prev = Option.value ~default:0.0 (Hashtbl.find_opt m.m_queries q) in
+          Hashtbl.replace m.m_queries q (prev +. u)
+      | Delta.Remove ps -> Hashtbl.remove m.m_queries (List.sort compare ps)
+      | Delta.Set_cost (ps, c) ->
+          let c_key = List.sort compare ps in
+          if Float.is_finite c then Hashtbl.replace m.m_costs c_key c
+          else Hashtbl.remove m.m_costs c_key)
+    ops
+
+(* [Instance.create] on the model's content, under the store's symbol
+   table (every name in the model has been interned by the store). *)
+let model_instance m ~name ~names ~oracle =
+  let intern ps = Bcc_core.Propset.of_list (List.map (Bcc_core.Symtab.intern names) ps) in
+  let explicit = Bcc_core.Propset.Tbl.create 16 in
+  Hashtbl.iter (fun ps c -> Bcc_core.Propset.Tbl.replace explicit (intern ps) c) m.m_costs;
+  let cost c =
+    match Bcc_core.Propset.Tbl.find_opt explicit c with
+    | Some x -> x
+    | None -> ( match oracle with Some f -> f c | None -> infinity)
+  in
+  let queries = Hashtbl.fold (fun ps u acc -> (intern ps, u) :: acc) m.m_queries [] in
+  Instance.create ~name ~names ~budget:m.m_budget ~queries:(Array.of_list queries) ~cost ()
+
+let random_props rng =
+  let props = [| "a"; "b"; "c"; "d"; "e"; "f"; "g" |] in
+  Rng.sample_without_replacement rng (1 + Rng.int rng 3) (Array.length props)
+  |> Array.map (fun i -> props.(i))
+  |> Array.to_list
+
+let random_ops rng =
+  let amount () = Rng.choose rng [| 0.0; 0.5; 1.0; 3.0; 10.0 |] in
+  List.init (1 + Rng.int rng 5) (fun _ ->
+      match Rng.int rng 8 with
+      | 0 | 1 -> Delta.Upsert (random_props rng, amount ())
+      | 2 | 3 -> Delta.Add (random_props rng, amount ())
+      | 4 -> Delta.Remove (random_props rng)
+      | 5 -> Delta.Set_budget (float_of_int (Rng.int rng 30))
+      | _ ->
+          (* Text workloads have no oracle, so [inf] prices a set out; a
+             log workload falls back to its oracle. *)
+          let price = Rng.choose rng [| 0.0; 1.0; 2.0; 5.0; infinity |] in
+          Delta.Set_cost (random_props rng, price))
+
+let random_source rng ~log =
+  let set sep = String.concat sep (random_props rng) in
+  let buf = Buffer.create 256 in
+  if log then begin
+    for _ = 1 to 3 + Rng.int rng 8 do
+      Printf.bprintf buf "%s\t%d\n" (set " ") (1 + Rng.int rng 9)
+    done;
+    Store.Log (Buffer.contents buf)
+  end
+  else begin
+    Printf.bprintf buf "budget %d\n" (5 + Rng.int rng 10);
+    for _ = 1 to 3 + Rng.int rng 8 do
+      Printf.bprintf buf "query %s %d\n" (set ";") (1 + Rng.int rng 9)
+    done;
+    for _ = 1 to 4 + Rng.int rng 8 do
+      Printf.bprintf buf "classifier %s %d\n" (set ";") (Rng.int rng 5)
+    done;
+    Store.Text (Buffer.contents buf)
+  end
+
+(* The model of a freshly put workload: what the store keeps of it. *)
+let model_of_source ~name = function
+  | Store.Text text ->
+      let inst = Io.load_string ~name text in
+      let names = Option.get (Instance.names inst) in
+      let key c = List.map (Bcc_core.Symtab.name names) (Bcc_core.Propset.to_list c) in
+      let key c = List.sort compare (key c) in
+      let m =
+        {
+          m_queries = Hashtbl.create 16;
+          m_costs = Hashtbl.create 16;
+          m_budget = Instance.budget inst;
+        }
+      in
+      for qi = 0 to Instance.num_queries inst - 1 do
+        Hashtbl.replace m.m_queries (key (Instance.query inst qi)) (Instance.utility inst qi)
+      done;
+      for id = 0 to Instance.num_classifiers inst - 1 do
+        Hashtbl.replace m.m_costs (key (Instance.classifier inst id)) (Instance.cost inst id)
+      done;
+      m
+  | Store.Log text ->
+      let names, queries, _ = Bcc_data.Log_parser.parse_string text in
+      let m = { m_queries = Hashtbl.create 16; m_costs = Hashtbl.create 16; m_budget = 20.0 } in
+      Array.iter
+        (fun (q, u) ->
+          Hashtbl.replace m.m_queries
+            (List.sort compare (List.map (Bcc_core.Symtab.name names) (Bcc_core.Propset.to_list q)))
+            u)
+        queries;
+      m
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+          output_string oc (read_file (Filename.concat src f))))
+    (Sys.readdir src)
+
+(* Random delta sequences through a durable store, several deltas
+   between solves: each solved epoch's instance, derived from the last,
+   must be [Instance.create] of the model's content.  Then two restarts
+   on copies of the state directory take one more delta, one rebuilding
+   the epoch in full and one deriving it from the instance a solve just
+   built; both must equal the model's instance and give the same
+   answer.  The last solves are incremental, whose answer is a function
+   of the instance alone, not of a warm seed. *)
+let derived_epochs_match_full_builds =
+  QCheck.Test.make ~name:"store: derived epochs = full builds, across a restart"
+    ~count:(count 25) QCheck.int (fun seed ->
+      let rng = Rng.create (0xde71 lxor seed) in
+      let log = seed land 1 = 1 in
+      let name = "w" in
+      let oracle =
+        if log then Some (Bcc_data.Log_parser.default_cost ~seed:(Hashtbl.hash name)) else None
+      in
+      let source = random_source rng ~log in
+      let m = model_of_source ~name source in
+      with_dir @@ fun dir ->
+      let check what (s : Store.solved) =
+        let inst = s.Store.instance in
+        let names = Option.get (Instance.names inst) in
+        let expected = model_instance m ~name:(Instance.name inst) ~names ~oracle in
+        let a = Fixtures.view inst and b = Fixtures.view expected in
+        match Fixtures.view_diff ~probes:(Fixtures.probes [ a; b ]) a b with
+        | None -> ()
+        | Some field -> QCheck.Test.fail_reportf "seed %d, %s: %s differs" seed what field
+      in
+      let delta stores =
+        let ops = random_ops rng in
+        List.iter (fun st -> ignore (ok (Store.delta st ~name ops))) stores;
+        model_apply m ops
+      in
+      let store = Store.create ~dir () in
+      ignore (ok (Store.put store ~name ~budget:m.m_budget source));
+      for round = 1 to 3 do
+        for _ = 1 to 1 + Rng.int rng 3 do
+          delta [ store ]
+        done;
+        check (Printf.sprintf "round %d" round) (ok (Store.solve store ~name ()))
+      done;
+      delta [ store ];
+      Store.close store;
+      let dir2 = dir ^ ".copy" in
+      copy_dir dir dir2;
+      Fun.protect ~finally:(fun () -> rm_rf dir2) @@ fun () ->
+      let rebuilt = Store.create ~dir () and derived = Store.create ~dir:dir2 () in
+      ignore (ok (Store.solve derived ~name ~incremental:true ()));
+      delta [ rebuilt; derived ];
+      let a = ok (Store.solve rebuilt ~name ~incremental:true ()) in
+      let b = ok (Store.solve derived ~name ~incremental:true ()) in
+      check "rebuilt after a restart" a;
+      check "derived after a restart" b;
+      Store.close rebuilt;
+      Store.close derived;
+      let va = Fixtures.view a.Store.instance and vb = Fixtures.view b.Store.instance in
+      (match Fixtures.view_diff ~probes:(Fixtures.probes [ va; vb ]) va vb with
+      | None -> ()
+      | Some field -> QCheck.Test.fail_reportf "seed %d, after a restart: %s differs" seed field);
+      if a.Store.solution <> b.Store.solution then
+        QCheck.Test.fail_reportf "seed %d: the restarted stores answer differently" seed;
+      true)
+
 (* --- qcheck: journal record codec --- *)
 
 let gen_record rng =
@@ -422,6 +607,7 @@ let suite =
     ("persistence: compaction folds the journal", `Quick, compaction_folds_journal);
     ("persistence: re-put fences the old generation", `Quick, put_fences_old_generation);
     ("solution codec: round-trip, lenient drift, strict", `Quick, solution_codec);
+    qtest derived_epochs_match_full_builds;
     qtest codec_roundtrip;
     qtest codec_truncation;
   ]
